@@ -678,7 +678,7 @@ let node_config = { Node.default_config with heartbeat = fast_heartbeats }
 (* A group of [n] nodes in one loop; each consumes at its own period
    (pull-based, so unconsumed messages stay purgeable), appending every
    delivery to its log. *)
-let make_group ?consume_periods loop n =
+let make_group ?(config = node_config) ?consume_periods loop n =
   let listeners =
     List.init n (fun i ->
         let fd, addr = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
@@ -690,7 +690,7 @@ let make_group ?consume_periods loop n =
     List.map
       (fun (i, fd, _) ->
         Node.create loop ~me:i ~listen_fd:fd ~peers ~payload_codec:Wire_codec.int_codec
-          ~config:node_config ())
+          ~config ())
       listeners
   in
   let nodes = Array.of_list nodes in
@@ -774,6 +774,28 @@ let test_node_group_view_change_on_crash () =
   in
   Alcotest.(check bool) "marker at node 0" true (saw_view 0);
   Alcotest.(check bool) "marker at node 1" true (saw_view 1);
+  Array.iter Node.shutdown nodes
+
+let test_node_park_probe_rejoin () =
+  (* Quorum loss: two of three members die, so the survivor's exclusion
+     view change can never assemble a majority. On the park deadline it
+     must park and turn straight into a probing joiner. *)
+  let loop = Loop.create () in
+  let config = { node_config with Node.park_timeout = Some 0.5 } in
+  let nodes, _ = make_group ~config loop 3 in
+  ignore
+    (Loop.after loop ~delay:0.3 (fun () ->
+         Node.shutdown nodes.(1);
+         Node.shutdown nodes.(2)));
+  (* Suspicion needs the 0.3 s initial heartbeat timeout, then the
+     0.5 s deadline runs; allow a few watchdog periods of slack. *)
+  let parked_joining () =
+    Node.parked nodes.(0) && Node.status_label nodes.(0) = "joining"
+  in
+  Loop.run ~until:parked_joining ~timeout:4.0 loop;
+  Alcotest.(check bool) "survivor parked" true (Node.parked nodes.(0));
+  Alcotest.(check string) "probing as a joiner" "joining" (Node.status_label nodes.(0));
+  Alcotest.(check bool) "no longer a member" false (Node.is_member nodes.(0));
   Array.iter Node.shutdown nodes
 
 let test_node_purging_over_tcp () =
@@ -1534,6 +1556,7 @@ let () =
           Alcotest.test_case "group multicast" `Slow test_node_group_multicast;
           Alcotest.test_case "view change on crash" `Slow test_node_group_view_change_on_crash;
           Alcotest.test_case "purging over TCP" `Slow test_node_purging_over_tcp;
+          Alcotest.test_case "park and probe-rejoin" `Slow test_node_park_probe_rejoin;
           Alcotest.test_case "restart rejoins from WAL" `Slow test_node_restart_rejoins;
           Alcotest.test_case "total order over TCP" `Slow test_total_order_over_tcp;
           Alcotest.test_case "divergence self-heals" `Slow test_node_divergence_self_heals;
