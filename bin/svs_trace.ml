@@ -1,7 +1,8 @@
 (* Offline trace analyzer: merge per-node JSONL traces, reconstruct
    per-message lifecycle timelines, and report delivery latency,
    stability lag, purge effectiveness, view-change spans and anomalies.
-   Optionally writes the summary as BENCH_rt_throughput.json. *)
+   Optionally writes the summary as one flat JSON object
+   (BENCH_rt_trace.json under MODE=trace scripts/bench_rt.sh). *)
 
 open Cmdliner
 module Span = Svs_telemetry.Span
@@ -28,7 +29,7 @@ let json_term =
     & info [ "json" ] ~docv:"FILE"
         ~doc:
           "Write the summary as a flat JSON object to $(docv) (the \
-           $(b,BENCH_rt_throughput.json) payload). $(b,-) writes to stdout instead of \
+           $(b,BENCH_rt_trace.json) payload). $(b,-) writes to stdout instead of \
            the human-readable report.")
 
 let block_threshold_term =

@@ -83,31 +83,12 @@ type 'p packet =
 type 'p t = {
   me : int;
   cluster : 'p cluster;
-  mutable proto : 'p Protocol.t; (* swapped for a fresh joiner on restart *)
+  core : 'p Member.t;
   inbox : (int * 'p data) Queue.t;
   mutable hb : Heartbeat.t option;
-  instances : (int, 'p proposal Ct.t) Hashtbl.t;
-  cons_stash : (int, (int * 'p proposal Ct.msg) list ref) Hashtbl.t;
   mutable installed_cbs : (View.t -> unit) list;
   mutable excluded_cbs : (View.t -> unit) list;
   mutable synced_cbs : (View.t -> string option -> unit) list;
-  mutable state_transfer : (unit -> string option) option;
-  mutable crashed : bool;
-  (* Park bookkeeping: when the member first became blocked in its
-     current view (the park deadline measures from here), and when it
-     parked (the merge-duration histogram measures from here). *)
-  mutable blocked_obs : (int * float) option;
-  mutable park_epoch : float option;
-  merge_spans : Metrics.Histogram.t;
-  (* Divergence bookkeeping: the application-state digest callback,
-     the last digest every peer reported (with the view it reported
-     for), the consecutive-disagreement streak, and whether a
-     self-demotion is in flight. *)
-  mutable digest_fn : (unit -> int) option;
-  peer_digests : (int, int * int) Hashtbl.t;
-  mutable div_streak : int;
-  mutable div_last : (int * int) option;
-  mutable heal_pending : bool;
 }
 
 and 'p cluster = {
@@ -118,8 +99,6 @@ and 'p cluster = {
   oracle : Oracle.t option;
   mutable arbiter : 'p proposal Arbiter.t option;
   mutable member_list : 'p t list;
-  mutable parked_events : int;
-  mutable divergence_events : int;
 }
 
 let engine c = c.engine
@@ -135,48 +114,41 @@ let checker c = c.check
 
 let id m = m.me
 
-let view m = Protocol.current_view m.proto
+let view m = Member.view m.core
 
-let is_blocked m = Protocol.blocked m.proto
+let is_blocked m = Member.is_blocked m.core
 
-let is_member m = (not m.crashed) && Protocol.alive m.proto && View.mem m.me (view m)
+let is_member m = Member.is_member m.core
 
-let pending m = Protocol.to_deliver_length m.proto
+let pending m = Member.pending m.core
 
 let inbox m = Queue.length m.inbox
 
 let inflight_from m ~src =
   Queue.fold (fun n (s, _) -> if s = src then n + 1 else n) 0 m.inbox
 
-let purged m = Protocol.purged_count m.proto
+let purged m = Protocol.purged_count (Member.protocol m.core)
 
-let purged_at m site = Protocol.purged_at m.proto site
+let purged_at m site = Protocol.purged_at (Member.protocol m.core) site
 
 let tracer c = c.config.tracer
 
 let metrics c = c.config.metrics
 
-let stable_trimmed m = Protocol.stable_trimmed m.proto
+let stable_trimmed m = Protocol.stable_trimmed (Member.protocol m.core)
 
-let pred_size m = List.length (Protocol.accepted_in_view m.proto)
+let pred_size m = List.length (Protocol.accepted_in_view (Member.protocol m.core))
 
-let is_joining m = (not m.crashed) && Protocol.joining m.proto
+let is_joining m = Member.is_joining m.core
 
-let is_parked m = (not m.crashed) && (Protocol.parked m.proto || m.park_epoch <> None)
+let is_parked m = (not (Member.is_down m.core)) && Member.parked m.core
 
-let parked_events c = c.parked_events
+let parked_events c = List.fold_left (fun n m -> n + Member.parks m.core) 0 c.member_list
 
-let divergence_events c = c.divergence_events
+let divergence_events c =
+  List.fold_left (fun n m -> n + Member.divergences m.core) 0 c.member_list
 
-let set_state_digest m f = m.digest_fn <- Some f
-
-(* The digest compared by divergence gossip: everything a correct
-   member's replicated state is a function of — installed view, merged
-   delivery floors, and the application's own digest. *)
-let member_digest m =
-  let v = view m in
-  let app = match m.digest_fn with Some f -> f () | None -> 0 in
-  Hashtbl.hash (v.View.id, v.View.members, List.sort compare (Protocol.floors m.proto), app)
+let set_state_digest m f = Member.set_state_digest m.core f
 
 let on_installed m f = m.installed_cbs <- f :: m.installed_cbs
 
@@ -184,9 +156,7 @@ let on_excluded m f = m.excluded_cbs <- f :: m.excluded_cbs
 
 let on_synced m f = m.synced_cbs <- f :: m.synced_cbs
 
-let set_state_transfer m f =
-  m.state_transfer <- Some f;
-  Protocol.set_state_transfer m.proto f
+let set_state_transfer m f = Member.set_state_transfer m.core f
 
 let suspects m p =
   match (m.cluster.oracle, m.hb) with
@@ -204,100 +174,31 @@ let suspected_set m =
 let has_room m =
   match m.cluster.config.buffer_capacity with
   | None -> true
-  | Some cap -> Protocol.to_deliver_length m.proto < cap
-
-let rec drain m =
-  let outs = Protocol.take_outputs m.proto in
-  List.iter (handle_output m) outs;
-  if outs <> [] then pump m
+  | Some cap -> Member.pending m.core < cap
 
 (* Feed held-back data into the protocol while the delivery queue has
    room (the paper's backpressure: a full node "ceases to accept
-   further messages from the network"). *)
-and pump m =
-  if (not m.crashed) && (not (Queue.is_empty m.inbox)) && has_room m then begin
+   further messages from the network"). The member's drain calls this
+   back after every input, so one message per call keeps the loop in
+   tail position. *)
+let pump m =
+  if (not (Member.is_down m.core)) && (not (Queue.is_empty m.inbox)) && has_room m then begin
     let src, d = Queue.pop m.inbox in
-    Protocol.receive m.proto ~src (Wdata d);
-    drain m;
-    pump m
+    Member.receive m.core ~src (Wdata d)
   end
 
-and handle_output m out =
-  match out with
-  | Send { dst; wire } -> Network.send m.cluster.net ~src:m.me ~dst (Proto wire)
-  | Installed v -> List.iter (fun f -> f v) m.installed_cbs
-  | Synced { view; app } ->
-      (* The group just readmitted this incarnation, so every exclusion
-         of the old one has long completed: any stale oracle suspicion
-         (e.g. a written-off minority member whose deferred
-         [unsuspect_when_excluded] check was raced by another member of
-         the same parked set) must be lifted now, or the next suspicion
-         event would spuriously exclude a node the group just voted
-         back in. *)
-      (match m.cluster.oracle with
-      | Some o -> Svs_detector.Oracle.mark_recovered o m.me
-      | None -> ());
-      (match m.park_epoch with
-      | None -> ()
-      | Some t0 ->
-          (* Merge-on-heal completed: the parked member is back in the
-             primary component as a new incarnation. *)
-          let dt = Engine.now m.cluster.engine -. t0 in
-          m.park_epoch <- None;
-          Metrics.Histogram.observe m.merge_spans dt;
-          if Trace.enabled m.cluster.config.tracer then
-            Trace.emit m.cluster.config.tracer
-              (Trace.Merge
-                 {
-                   node = m.me;
-                   view_id = view.View.id;
-                   parked_ms = int_of_float (dt *. 1000.0);
-                 }));
-      List.iter (fun f -> f view app) m.synced_cbs
-  | Excluded v ->
-      retire m;
-      List.iter (fun f -> f v) m.excluded_cbs
-  | Propose { view_id; proposal } -> (
-      match m.cluster.config.consensus with
-      | Arbiter -> (
-          match m.cluster.arbiter with
-          | Some a -> Svs_consensus.Arbiter.propose a ~instance:view_id ~from:m.me proposal
-          | None -> assert false)
-      | Chandra_toueg -> start_instance m ~view_id proposal)
-
-and start_instance m ~view_id proposal =
-  if not (Hashtbl.mem m.instances view_id) then begin
-    let members = (Protocol.current_view m.proto).View.members in
-    let inst =
-      Ct.create m.cluster.engine ~me:m.me ~members
-        ~suspects:(fun p -> suspects m p)
-        ~send:(fun ~dst msg -> Network.send m.cluster.net ~src:m.me ~dst (Cons { view_id; msg }))
-        ~on_decide:(fun v ->
-          Protocol.decided m.proto ~view_id v;
-          drain m)
-        proposal
-    in
-    Hashtbl.replace m.instances view_id inst;
-    (match Hashtbl.find_opt m.cons_stash view_id with
-    | None -> ()
-    | Some stash ->
-        let msgs = List.rev !stash in
-        Hashtbl.remove m.cons_stash view_id;
-        List.iter (fun (src, msg) -> Ct.on_message inst ~src msg) msgs);
-    drain m
-  end
-
-and retire m =
-  m.crashed <- true;
-  (match m.hb with Some hb -> Heartbeat.stop hb | None -> ());
-  Hashtbl.iter (fun _ inst -> Ct.stop inst) m.instances;
+(* Out of the group (crashed, excluded or parked): the detector is per
+   incarnation and held-back data dies with it. *)
+let retire m =
+  Option.iter Heartbeat.stop m.hb;
+  m.hb <- None;
   Queue.clear m.inbox
 
 let on_packet m ~src packet =
-  if not m.crashed then
+  if not (Member.is_down m.core) then
     match packet with
     | Beat -> ( match m.hb with Some hb -> Heartbeat.on_heartbeat hb ~src | None -> ())
-    | Digest { view_id; digest } -> Hashtbl.replace m.peer_digests src (view_id, digest)
+    | Digest { view_id; digest } -> Member.note_digest m.core ~src ~view_id digest
     | Proto (Wdata d) ->
         (* Note: this held-back backlog is NOT purged by the protocol's
            purge indexes. Purging an {e arbitrary} queued message here
@@ -314,62 +215,29 @@ let on_packet m ~src packet =
            (Purge_index) and the agreed pred. *)
         Queue.add (src, d) m.inbox;
         pump m
-    | Proto wire ->
-        Protocol.receive m.proto ~src wire;
-        drain m
-    | Cons { view_id; msg } -> (
-        match Hashtbl.find_opt m.instances view_id with
-        | Some inst ->
-            Ct.on_message inst ~src msg;
-            drain m
-        | None ->
-            if view_id >= (Protocol.current_view m.proto).View.id then begin
-              let stash =
-                match Hashtbl.find_opt m.cons_stash view_id with
-                | Some s -> s
-                | None ->
-                    let s = ref [] in
-                    Hashtbl.replace m.cons_stash view_id s;
-                    s
-              in
-              stash := (src, msg) :: !stash
-            end)
-
-let on_suspicion m =
-  if (not m.crashed) && Protocol.alive m.proto then begin
-    Protocol.notify_suspicion_change m.proto;
-    if m.cluster.config.auto_view_change then begin
-      let leave = suspected_set m in
-      if leave <> [] then Protocol.trigger_view_change m.proto ~leave ()
-    end;
-    drain m
-  end
+    | Proto wire -> Member.receive m.core ~src wire
+    | Cons { view_id; msg } -> Member.on_cons m.core ~src ~view_id msg
 
 let multicast m ?ann payload =
-  if m.crashed then Error `Not_member
-  else
-    match Protocol.multicast m.proto ?ann payload with
-    | Error _ as e -> e
-    | Ok d ->
-        Checker.record_multicast m.cluster.check
-          { Checker.id = d.id; ann = d.ann; view_id = d.view_id };
-        drain m;
-        Ok d
+  match Member.multicast m.core ?ann payload with
+  | Error _ as e -> e
+  | Ok d ->
+      Checker.record_multicast m.cluster.check
+        { Checker.id = d.id; ann = d.ann; view_id = d.view_id };
+      Ok d
 
 let deliver m =
-  if m.crashed then None
-  else
-    match Protocol.deliver m.proto with
-    | None -> None
-    | Some (Data d) as r ->
-        Checker.record_delivery m.cluster.check ~p:m.me
-          { Checker.id = d.id; ann = d.ann; view_id = d.view_id };
-        pump m;
-        r
-    | Some (View_change v) as r ->
-        Checker.record_install m.cluster.check ~p:m.me v;
-        pump m;
-        r
+  match Member.deliver m.core with
+  | None -> None
+  | Some (Data d) as r ->
+      Checker.record_delivery m.cluster.check ~p:m.me
+        { Checker.id = d.id; ann = d.ann; view_id = d.view_id };
+      pump m;
+      r
+  | Some (View_change v) as r ->
+      Checker.record_install m.cluster.check ~p:m.me v;
+      pump m;
+      r
 
 let deliver_all m =
   let rec go acc =
@@ -377,17 +245,9 @@ let deliver_all m =
   in
   go []
 
-let trigger_view_change m ?join ~leave () =
-  if not m.crashed then begin
-    Protocol.trigger_view_change m.proto ?join ~leave ();
-    drain m
-  end
+let trigger_view_change m ?join ~leave () = Member.trigger_view_change m.core ?join ~leave ()
 
-let request_join m ~contact =
-  if not m.crashed then begin
-    Protocol.join_request m.proto ~contact;
-    drain m
-  end
+let request_join m ~contact = Member.request_join m.core ~contact
 
 let bytes_sent c = Network.bytes_sent c.net
 
@@ -433,6 +293,7 @@ let latency c = Network.latency c.net
 
 let crash c p =
   let m = member c p in
+  Member.halt m.core;
   retire m;
   Network.crash c.net ~node:p;
   match c.oracle with Some o -> Svs_detector.Oracle.mark_crashed o p | None -> ()
@@ -463,7 +324,7 @@ let unsuspect_when_excluded c p =
   | Some o ->
       let still_listed () =
         List.exists
-          (fun q -> q.me <> p && (not q.crashed) && View.mem p (view q))
+          (fun q -> q.me <> p && (not (Member.is_down q.core)) && View.mem p (view q))
           c.member_list
       in
       if not (still_listed ()) then Svs_detector.Oracle.mark_recovered o p
@@ -480,6 +341,24 @@ let unsuspect_when_excluded c p =
           c.member_list
       end
 
+let note_suspect c ~node p =
+  if Trace.enabled c.config.tracer then
+    Trace.emit c.config.tracer (Trace.Suspect { node; suspect = p })
+
+(* Heartbeat detection is per incarnation: a fresh detector at creation
+   and at every restart. *)
+let start_heartbeats c m hb_config =
+  let hb =
+    Heartbeat.create c.engine hb_config ~me:m.me
+      ~peers:(List.map (fun q -> q.me) c.member_list)
+      ~send_heartbeat:(fun ~dst -> Network.send c.net ~src:m.me ~dst Beat)
+  in
+  Heartbeat.on_suspect hb (fun p ->
+      note_suspect c ~node:m.me p;
+      Member.on_suspicion m.core);
+  Heartbeat.on_rescind hb (fun _ -> Member.on_suspicion m.core);
+  m.hb <- Some hb
+
 (* Restart a crashed (or excluded) process as a new incarnation that
    must be readmitted through the JOIN/SYNC path. With [recover], the
    durable slice of the dead incarnation's state — last installed view
@@ -491,98 +370,15 @@ let restart c p ~recover =
   let m = member c p in
   if is_member m || is_joining m then
     invalid_arg (Printf.sprintf "Group.restart: %d is still active" p);
-  let config = c.config in
-  let recovery =
-    if recover then
-      Some
-        {
-          Protocol.view_id = (Protocol.current_view m.proto).View.id;
-          floors = Protocol.floors m.proto;
-          next_sn = Protocol.next_sn m.proto;
-        }
-    else None
-  in
-  let proto =
-    Protocol.create_joiner ~me:p ?recovery ~semantic:config.semantic ~tracer:config.tracer
-      ?metrics:config.metrics ~clock:(Engine.clock c.engine)
-      ~suspects:(fun q -> suspects m q)
-      ()
-  in
-  (match m.state_transfer with
-  | Some f -> Protocol.set_state_transfer proto f
-  | None -> ());
-  m.proto <- proto;
+  let recovery = if recover then Some (Member.recovery m.core) else None in
+  Member.restart m.core ?recovery ();
   Queue.clear m.inbox;
-  Hashtbl.reset m.instances;
-  Hashtbl.reset m.cons_stash;
-  Hashtbl.reset m.peer_digests;
-  m.div_streak <- 0;
-  m.div_last <- None;
-  m.crashed <- false;
   Network.revive c.net ~node:p;
-  (match config.detector with
+  match c.config.detector with
   | Oracle -> unsuspect_when_excluded c p
-  | Heartbeats hb_config ->
-      let ids = List.map (fun q -> q.me) c.member_list in
-      let hb =
-        Heartbeat.create c.engine hb_config ~me:p ~peers:ids
-          ~send_heartbeat:(fun ~dst -> Network.send c.net ~src:p ~dst Beat)
-      in
-      let note_suspect q =
-        if Trace.enabled config.tracer then
-          Trace.emit config.tracer (Trace.Suspect { node = p; suspect = q })
-      in
-      Heartbeat.on_suspect hb (fun q ->
-          note_suspect q;
-          on_suspicion m);
-      Heartbeat.on_rescind hb (fun _ -> on_suspicion m);
-      m.hb <- Some hb)
+  | Heartbeats hb_config -> start_heartbeats c m hb_config
 
-(* Turn a member that has fallen out of the primary component back into
-   a recovering joiner that probes every peer in turn: JOIN requests
-   towards unreachable peers are held by partitioned links and
-   delivered at the heal, so the merge (through the ordinary JOIN/SYNC
-   path, with state transfer) is automatic. *)
-let rejoin_via_probe c p =
-  let m = member c p in
-  restart c p ~recover:true;
-  let contacts =
-    List.filter_map (fun q -> if q.me <> p then Some q.me else None) c.member_list
-  in
-  let k = ref 0 in
-  ignore
-    (Engine.every c.engine ~period:0.25 (fun () ->
-         if is_joining m then begin
-           let contact = List.nth contacts (!k mod List.length contacts) in
-           incr k;
-           request_join m ~contact;
-           true
-         end
-         else false)
-      : Engine.handle)
-
-(* Quorum loss: the park deadline expired with [p] still blocked in the
-   same view change. The member leaves the group — no multicasts, no
-   fresh deliveries, no installs — and, when merging is enabled, turns
-   into a recovering joiner that probes for the primary component. *)
-let park_member c p =
-  let m = member c p in
-  if is_member m then begin
-    (match m.hb with
-    | Some hb ->
-        Heartbeat.stop hb;
-        m.hb <- None
-    | None -> ());
-    Protocol.park m.proto;
-    Hashtbl.iter (fun _ inst -> Ct.stop inst) m.instances;
-    Hashtbl.reset m.instances;
-    Hashtbl.reset m.cons_stash;
-    Queue.clear m.inbox;
-    m.blocked_obs <- None;
-    m.park_epoch <- Some (Engine.now c.engine);
-    c.parked_events <- c.parked_events + 1;
-    if c.config.merge then rejoin_via_probe c p
-  end
+let park_member c p = Member.park (member c p).core
 
 let packet_size pc packet =
   match packet with
@@ -650,27 +446,15 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
     | Heartbeats _ -> None
   in
   let cluster =
-    {
-      engine = eng;
-      net;
-      config;
-      check = Checker.create ();
-      oracle;
-      arbiter = None;
-      member_list = [];
-      parked_events = 0;
-      divergence_events = 0;
-    }
+    { engine = eng; net; config; check = Checker.create (); oracle; arbiter = None; member_list = [] }
   in
   (match config.consensus with
   | Chandra_toueg -> ()
   | Arbiter ->
       let deliver ~dst ~instance value =
         match List.find_opt (fun m -> m.me = dst) cluster.member_list with
-        | Some m when not m.crashed ->
-            Protocol.decided m.proto ~view_id:instance value;
-            drain m
-        | Some _ | None -> ()
+        | Some m -> Member.decided m.core ~view_id:instance value
+        | None -> ()
       in
       (* Quorum 1: the arbiter is a trusted decision service, and any
          single SVS proposal is already safe to adopt (its construction
@@ -679,41 +463,66 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
       cluster.arbiter <-
         Some (Svs_consensus.Arbiter.create eng ~members:ids ~quorum:1 ~deliver ()));
   let mk_member me =
-    (* The protocol's failure-detector query needs the member record,
-       which needs the protocol: tie the knot through a reference. *)
+    (* The member shell's host callbacks need the driver record, which
+       holds the shell: tie the knot through a reference. *)
     let m_ref = ref None in
-    let suspects_fn p = match !m_ref with Some m -> suspects m p | None -> false in
-    let m =
+    let self () = match !m_ref with Some m -> m | None -> assert false in
+    let inbox = Queue.create () in
+    let host =
       {
-        me;
-        cluster;
-        proto =
-          Protocol.create ~me ~initial_view ~semantic:config.semantic ~tracer:config.tracer
-            ?metrics:config.metrics ~clock:(Engine.clock eng) ~suspects:suspects_fn ();
-        inbox = Queue.create ();
-        hb = None;
-        instances = Hashtbl.create 7;
-        cons_stash = Hashtbl.create 7;
-        installed_cbs = [];
-        excluded_cbs = [];
-        synced_cbs = [];
-        state_transfer = None;
-        crashed = false;
-        blocked_obs = None;
-        park_epoch = None;
-        digest_fn = None;
-        peer_digests = Hashtbl.create 7;
-        div_streak = 0;
-        div_last = None;
-        heal_pending = false;
-        merge_spans =
+        Member.send_wire = (fun ~dst wire -> Network.send net ~src:me ~dst (Proto wire));
+        send_cons =
+          (fun ~dst ~view_id msg -> Network.send net ~src:me ~dst (Cons { view_id; msg }));
+        suspects = (fun p -> suspects (self ()) p);
+        suspected =
+          (fun () -> if config.auto_view_change then suspected_set (self ()) else []);
+        propose =
+          Option.map
+            (fun a ~view_id proposal ->
+              Svs_consensus.Arbiter.propose a ~instance:view_id ~from:me proposal)
+            cluster.arbiter;
+        backlog = (fun () -> Queue.length inbox);
+        deliverable = (fun () -> pump (self ()));
+        installed = (fun v -> List.iter (fun f -> f v) (self ()).installed_cbs);
+        excluded =
+          (fun v ~rejoin:_ ->
+            let m = self () in
+            retire m;
+            List.iter (fun f -> f v) m.excluded_cbs);
+        synced =
+          (fun v app ->
+            (* The group just readmitted this incarnation, so every
+               exclusion of the old one has long completed: any stale
+               oracle suspicion (e.g. a written-off minority member
+               whose deferred [unsuspect_when_excluded] check was raced
+               by another member of the same parked set) must be lifted
+               now, or the next suspicion event would spuriously
+               exclude a node the group just voted back in. *)
+            (match oracle with Some o -> Oracle.mark_recovered o me | None -> ());
+            List.iter (fun f -> f v app) (self ()).synced_cbs);
+        parked = (fun () -> retire (self ()));
+        rejoin = (fun () -> restart cluster me ~recover:true);
+      }
+    in
+    let core =
+      Member.create eng ~me ~peers:ids ~clock:(Engine.clock eng) ~semantic:config.semantic
+        ~tracer:config.tracer ?metrics:config.metrics ?park_timeout:config.park_timeout
+        ~merge:config.merge
+        ?divergence:
+          (Option.map
+             (fun { div_period; div_rounds; div_heal } ->
+               { Member.period = div_period; rounds = div_rounds; heal = div_heal })
+             config.divergence)
+        ?stability_period:config.stability_period
+        ~merge_spans:
           (match config.metrics with
           | None -> Metrics.Histogram.detached ()
           | Some reg ->
-              Metrics.histogram reg
-                ~labels:[ ("node", string_of_int me) ]
-                "svs_merge_seconds");
-      }
+              Metrics.histogram reg ~labels:[ ("node", string_of_int me) ] "svs_merge_seconds")
+        host
+    in
+    let m =
+      { me; cluster; core; inbox; hb = None; installed_cbs = []; excluded_cbs = []; synced_cbs = [] }
     in
     m_ref := Some m;
     m
@@ -752,195 +561,38 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
                cluster.member_list;
              true)
           : Engine.handle));
-  (* Primary-component survival: a member still blocked in the same
-     view change when the deadline expires has lost the majority — it
-     parks (and, with [merge] on, starts probing to rejoin). The
-     deadline is detector-driven: it only starts once a view change is
-     actually underway, which under [auto_view_change] means the
-     detector suspected someone. (Periodic checker: run the engine
-     with a horizon.) *)
-  (match config.park_timeout with
-  | None -> ()
-  | Some deadline ->
-      let period = Float.max 0.01 (deadline /. 4.0) in
-      ignore
-        (Engine.every eng ~period (fun () ->
-             let now = Engine.now eng in
-             List.iter
-               (fun m ->
-                 if is_member m && is_blocked m then begin
-                   let vid = (view m).View.id in
-                   match m.blocked_obs with
-                   | Some (v, t0) when v = vid ->
-                       if now -. t0 >= deadline then park_member cluster m.me
-                   | Some _ | None -> m.blocked_obs <- Some (vid, now)
-                 end
-                 else m.blocked_obs <- None)
-               cluster.member_list;
-             true)
-          : Engine.handle));
-  (match config.stability_period with
-  | None -> ()
-  | Some period ->
-      ignore
-        (Engine.every eng ~period (fun () ->
-             List.iter
-               (fun m ->
-                 if not m.crashed then begin
-                   Protocol.gossip_stability m.proto;
-                   drain m
-                 end)
-               cluster.member_list;
-             true)
-          : Engine.handle));
-  (* Divergence self-healing: digests gossip on one cadence, and are
-     compared half a period later (so every peer's latest report had
-     time to arrive). Evaluation is deliberately conservative — only a
-     quiescent member (nothing queued or undelivered) whose digest
-     disagrees with a {e unanimous} rest-of-view for [div_rounds]
-     straight evaluations concludes {e it} is the corrupt one. *)
+  (* Divergence gossip: every member broadcasts its digest once a
+     period; the member shells compare the reports half a period
+     later. *)
   (match config.divergence with
   | None -> ()
-  | Some { div_period; div_rounds; div_heal } ->
-      let quiescent m =
-        is_member m && (not (is_blocked m))
-        && Queue.is_empty m.inbox
-        && Protocol.to_deliver_length m.proto = 0
-      in
-      let evaluate m =
-        if m.heal_pending then begin
-          (* The self-exclusion can race a concurrent view change and
-             be dropped: keep nudging until it lands. *)
-          if is_member m && not (is_blocked m) then
-            trigger_view_change m ~leave:[ m.me ] ()
-        end
-        else if quiescent m then begin
-          let vid = (view m).View.id in
-          let others = List.filter (fun q -> q <> m.me) (view m).View.members in
-          let reports =
-            List.filter_map
-              (fun q ->
-                match Hashtbl.find_opt m.peer_digests q with
-                | Some (v, d) when v = vid -> Some d
-                | _ -> None)
-              others
-          in
-          let mine = member_digest m in
-          match reports with
-          | d0 :: rest
-            when others <> []
-                 && List.length reports = List.length others
-                 && List.for_all (fun d -> d = d0) rest
-                 && d0 <> mine ->
-              (* Only the *same* disagreement counts towards the
-                 streak: in-flight traffic makes floors (and so
-                 digests) drift between evaluations — a healthy member
-                 momentarily behind its peers sees a different
-                 disagreement each round, while a genuinely corrupt
-                 quiescent replica freezes on one. *)
-              (match m.div_last with
-              | Some (pm, pd) when pm = mine && pd = d0 ->
-                  m.div_streak <- m.div_streak + 1
-              | Some _ | None ->
-                  m.div_streak <- 1;
-                  m.div_last <- Some (mine, d0));
-              if m.div_streak >= div_rounds then begin
-                m.div_streak <- 0;
-                m.div_last <- None;
-                cluster.divergence_events <- cluster.divergence_events + 1;
-                if Trace.enabled config.tracer then
-                  Trace.emit config.tracer (Trace.Divergence { node = m.me; view_id = vid });
-                if div_heal then begin
-                  m.heal_pending <- true;
-                  trigger_view_change m ~leave:[ m.me ] ()
-                end
-              end
-          | _ ->
-              m.div_streak <- 0;
-              m.div_last <- None
-        end
-        else begin
-          m.div_streak <- 0;
-          m.div_last <- None
-        end
-      in
+  | Some { div_period; _ } ->
       ignore
         (Engine.every eng ~period:div_period (fun () ->
              List.iter
                (fun m ->
                  if is_member m && not (is_blocked m) then begin
-                   let d = Digest { view_id = (view m).View.id; digest = member_digest m } in
+                   let d = Digest { view_id = (view m).View.id; digest = Member.digest m.core } in
                    List.iter
                      (fun q -> if q <> m.me then Network.send net ~src:m.me ~dst:q d)
                      (view m).View.members
                  end)
                cluster.member_list;
              true)
-          : Engine.handle);
-      ignore
-        (Engine.every eng ~start:(div_period /. 2.0) ~period:div_period (fun () ->
-             List.iter evaluate cluster.member_list;
-             true)
           : Engine.handle));
   List.iter
     (fun m ->
       Checker.record_install cluster.check ~p:m.me initial_view;
       Network.set_handler net ~node:m.me (fun ~src packet -> on_packet m ~src packet);
-      let note_suspect p =
-        if Trace.enabled config.tracer then
-          Trace.emit config.tracer (Trace.Suspect { node = m.me; suspect = p })
-      in
-      (match config.detector with
+      match config.detector with
       | Oracle -> (
           match oracle with
           | Some o ->
               Svs_detector.Oracle.on_suspect o (fun p ->
-                  note_suspect p;
-                  on_suspicion m)
+                  note_suspect cluster ~node:m.me p;
+                  Member.on_suspicion m.core)
           | None -> assert false)
-      | Heartbeats hb_config ->
-          let hb =
-            Heartbeat.create eng hb_config ~me:m.me ~peers:ids
-              ~send_heartbeat:(fun ~dst -> Network.send net ~src:m.me ~dst Beat)
-          in
-          Heartbeat.on_suspect hb (fun p ->
-              note_suspect p;
-              on_suspicion m);
-          Heartbeat.on_rescind hb (fun _ -> on_suspicion m);
-          m.hb <- Some hb);
-      (* Primary-component mode: the park deadline can lose the race
-         against the heal — the held consensus traffic then tells the
-         cut-off member it was {e excluded} before the watchdog parks
-         it. Either way it has fallen out of the primary component, so
-         with merging on it comes back through the same probing-joiner
-         path. (Deferred: [Excluded] fires mid-drain, and [restart]
-         must not swap the protocol out under it.) *)
-      if config.park_timeout <> None && config.merge then
-        on_excluded m (fun _ ->
-            ignore
-              (Engine.schedule eng ~delay:0.0 (fun () ->
-                   if not (is_member m || is_joining m) then rejoin_via_probe cluster m.me)
-                : Engine.handle));
-      (* Divergence healing: the self-demoted member's exclusion turns
-         it straight into a probing joiner, so it re-syncs from a
-         sponsor's state transfer. (Deferred, like the park hook:
-         [Excluded] fires mid-drain.) *)
-      (match config.divergence with
-      | Some { div_heal = true; _ } ->
-          on_excluded m (fun _ ->
-              if m.heal_pending then
-                ignore
-                  (Engine.schedule eng ~delay:0.0 (fun () ->
-                       if not (is_member m || is_joining m) then begin
-                         m.heal_pending <- false;
-                         rejoin_via_probe cluster m.me
-                       end)
-                    : Engine.handle));
-          on_synced m (fun _ _ ->
-              m.div_streak <- 0;
-              m.div_last <- None;
-              Hashtbl.reset m.peer_digests)
-      | Some _ | None -> ()))
+      | Heartbeats hb_config -> start_heartbeats cluster m hb_config)
     ms;
   cluster
 
@@ -952,7 +604,7 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
    and the canonical per-node / per-link / global state fingerprints
    the checker deduplicates visited states with. *)
 
-let is_down m = m.crashed
+let is_down m = Member.is_down m.core
 
 let mc_inflight c ~src ~dst = Network.inflight c.net ~src ~dst
 
@@ -989,14 +641,14 @@ type mc_state = {
 let mc_node_fingerprint c ~payload p =
   let m = member c p in
   let b = Buffer.create 64 in
-  Buffer.add_char b (if m.crashed then 'x' else 'o');
-  Buffer.add_char b (if m.park_epoch <> None then 'p' else '-');
+  Buffer.add_char b (if Member.is_down m.core then 'x' else 'o');
+  Buffer.add_char b (if Member.parked m.core then 'p' else '-');
   Queue.iter
     (fun (src, d) ->
       Buffer.add_string b (string_of_int src);
       Buffer.add_string b (Protocol.mc_wire_digest ~payload (Wdata d)))
     m.inbox;
-  Buffer.add_string b (Protocol.mc_fingerprint ~payload m.proto);
+  Buffer.add_string b (Protocol.mc_fingerprint ~payload (Member.protocol m.core));
   Digest.string (Buffer.contents b)
 
 let mc_link_fingerprint c ~payload ~src ~dst =

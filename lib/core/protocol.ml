@@ -11,6 +11,57 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type 'p entry = Edata of 'p data | Eview of View.t
 
+(* The delivered messages of the current view, oldest first, kept for
+   the PRED set until stable. Retention is throughput × stability lag,
+   so it dominates the heap under load: a growable array compacted in
+   place costs one to two words per message (a list cell three, a
+   [Dq] entry six) and the periodic stability trim allocates nothing.
+   Slots past [len] never keep a trimmed message alive. *)
+module Retained = struct
+  type 'a t = { mutable arr : 'a array; mutable len : int }
+
+  let create () = { arr = [||]; len = 0 }
+
+  let clear r =
+    r.arr <- [||];
+    r.len <- 0
+
+  let push r x =
+    if r.len = Array.length r.arr then begin
+      let arr = Array.make (Stdlib.max 16 (2 * r.len)) x in
+      Array.blit r.arr 0 arr 0 r.len;
+      r.arr <- arr
+    end;
+    r.arr.(r.len) <- x;
+    r.len <- r.len + 1
+
+  (* Keeps the elements satisfying [keep], in order; returns how many
+     were dropped. *)
+  let filter_in_place keep r =
+    let j = ref 0 in
+    for i = 0 to r.len - 1 do
+      let x = r.arr.(i) in
+      if keep x then begin
+        r.arr.(!j) <- x;
+        incr j
+      end
+    done;
+    let removed = r.len - !j in
+    if !j = 0 then clear r
+    else begin
+      Array.fill r.arr !j removed r.arr.(0);
+      r.len <- !j
+    end;
+    removed
+
+  let fold_right f r acc =
+    let acc = ref acc in
+    for i = r.len - 1 downto 0 do
+      acc := f r.arr.(i) !acc
+    done;
+    !acc
+end
+
 (* Per-view-change bookkeeping (Figure 1's leave / global-pred /
    pred-received variables, instantiated for the current view only:
    older instances can never be consulted again because decisions for
@@ -53,7 +104,7 @@ type 'p t = {
      inserting a message touches exactly the entries it can obsolete
      instead of sweeping the queue. *)
   pidx : 'p entry Dq.handle Purge_index.t;
-  mutable delivered_this_view : 'p data list; (* reversed *)
+  delivered_this_view : 'p data Retained.t; (* until stable *)
   floors : (int, int) Hashtbl.t; (* sender -> highest accepted sn *)
   mutable vc : 'p vc_state option;
   stash : (int * 'p wire) Queue.t; (* future-view messages *)
@@ -99,7 +150,7 @@ let create ~me ~initial_view ?(semantic = true) ?(tracer = Trace.nop) ?metrics
     lease_uncertain = false;
     to_deliver = Dq.create ();
     pidx = Purge_index.create ();
-    delivered_this_view = [];
+    delivered_this_view = Retained.create ();
     floors = Hashtbl.create 16;
     vc = None;
     stash = Queue.create ();
@@ -289,20 +340,17 @@ let trim_stable t =
         Hashtbl.replace floors sender f;
         f
   in
-  let removed = ref 0 in
-  t.delivered_this_view <-
-    List.filter
+  let removed =
+    Retained.filter_in_place
       (fun (d : 'p data) ->
         let keep = d.id.Msg_id.sn > floor_for d.id.Msg_id.sender in
-        if not keep then begin
-          incr removed;
-          if Trace.enabled t.tracer then
-            Trace.emit t.tracer
-              (StableMsg { node = t.me; sender = d.id.Msg_id.sender; sn = d.id.Msg_id.sn })
-        end;
+        if (not keep) && Trace.enabled t.tracer then
+          Trace.emit t.tracer
+            (StableMsg { node = t.me; sender = d.id.Msg_id.sender; sn = d.id.Msg_id.sn });
         keep)
-      t.delivered_this_view;
-  t.trimmed <- t.trimmed + !removed
+      t.delivered_this_view
+  in
+  t.trimmed <- t.trimmed + removed
 
 let stable_trimmed t = t.trimmed
 
@@ -312,7 +360,7 @@ let local_pred t =
       (function Edata d when d.view_id = t.cv.View.id -> Some d | Edata _ | Eview _ -> None)
       (Dq.to_list t.to_deliver)
   in
-  List.rev_append t.delivered_this_view from_queue
+  Retained.fold_right List.cons t.delivered_this_view from_queue
 
 let accepted_in_view = local_pred
 
@@ -560,7 +608,7 @@ and handle_sync t ~src ~view ~floors ~app =
     t.status <- Member;
     t.blocked <- false;
     t.vc <- None;
-    t.delivered_this_view <- [];
+    Retained.clear t.delivered_this_view;
     if Trace.enabled t.tracer then begin
       Trace.emit t.tracer
         (StateTransfer
@@ -621,7 +669,7 @@ and decided t ~view_id (p : 'p proposal) =
       end;
       t.blocked <- false;
       t.vc <- None;
-      t.delivered_this_view <- [];
+      Retained.clear t.delivered_this_view;
       if Trace.enabled t.tracer then
         Trace.emit t.tracer
           (ViewInstall
@@ -662,7 +710,7 @@ let deliver t =
   | Some (Edata d) ->
       set_queued t (t.queued_data - 1);
       if t.semantic then Purge_index.remove t.pidx ~view:d.view_id ~id:d.id ~ann:d.ann;
-      if d.view_id = t.cv.View.id then t.delivered_this_view <- d :: t.delivered_this_view;
+      if d.view_id = t.cv.View.id then Retained.push t.delivered_this_view d;
       if Trace.enabled t.tracer then
         Trace.emit t.tracer
           (Deliver
@@ -782,7 +830,7 @@ let mc_fingerprint ~payload t =
           buf_view b v)
     t.to_deliver;
   Buffer.add_char b '/';
-  List.iter (buf_data ~payload b) t.delivered_this_view;
+  Retained.fold_right (fun d () -> buf_data ~payload b d) t.delivered_this_view ();
   Buffer.add_char b '/';
   buf_floors b (floors t);
   (match t.vc with

@@ -1,6 +1,7 @@
 module Engine = Svs_sim.Engine
 module Heartbeat = Svs_detector.Heartbeat
 module Ct = Svs_consensus.Chandra_toueg
+module Member = Svs_core.Member
 module Protocol = Svs_core.Protocol
 module Types = Svs_core.Types
 module View = Svs_core.View
@@ -126,40 +127,15 @@ type 'p t = {
   me : int;
   engine : Engine.t; (* timer wheel for the reused automata *)
   started_at : float;
-  mutable proto : 'p Protocol.t;
+  core : 'p Member.t;
   wal : Wal.t option;
   mutable leased : int; (* lease ceiling appended to the WAL *)
   mutable durable_leased : int; (* lease ceiling known fsynced *)
-  pkt_writer : Codec.Writer.t; (* reused for every outbound packet *)
-  on_synced : View.t -> string option -> unit;
   mesh : Tcp_mesh.t;
-  payload_codec : 'p Wire_codec.payload_codec;
   hb : Heartbeat.t;
-  instances : (int, 'p Types.proposal Ct.t) Hashtbl.t;
-  cons_stash : (int, (int * 'p Types.proposal Ct.msg) list ref) Hashtbl.t;
-  on_deliverable : unit -> unit;
   mutable stopped : bool;
   tracer : Trace.t;
-  semantic : bool;
-  metrics : Metrics.t option;
-  state_transfer_fn : (unit -> string option) option;
   peers_ids : int list;
-  park_timeout : float option;
-  (* (view id, first seen blocked at) for the park watchdog. *)
-  mutable blocked_obs : (int * float) option;
-  mutable park_epoch : float option;
-  (* Exclusion (or quorum loss) fires mid-drain; the protocol swap is
-     deferred to the next engine tick. *)
-  mutable want_rejoin : bool;
-  (* Divergence self-healing: last digest reported by each peer (with
-     the view it was computed in), the consecutive-mismatch streak, and
-     whether a self-demotion is in flight. *)
-  peer_digests : (int, int * int) Hashtbl.t;
-  mutable div_streak : int;
-  mutable div_last : (int * int) option;
-  mutable heal_pending : bool;
-  app_digest : (unit -> int) option;
-  c_divergence : Metrics.Counter.t;
   suspicions : Metrics.Counter.t;
   c_slow_reports : Metrics.Counter.t;
   slow_member : slow_member_policy;
@@ -175,37 +151,25 @@ type 'p t = {
      completes. Cleared once the link drains (the peer recovered, or
      its backlog was dropped when a view without it installed). *)
   evicting : (int, unit) Hashtbl.t;
-  delivery_latency : Metrics.Histogram.t;
-  merge_spans : Metrics.Histogram.t;
-  (* Wall-clock arrival time of each message accepted but not yet
-     delivered, keyed by id; entries of view [v] are swept when the
-     View_change for a later view is delivered (by then every view-[v]
-     message that will ever be delivered has been). *)
-  arrivals : (Msg_id.t, int * float) Hashtbl.t;
 }
 
 let id t = t.me
 
-let view t = Protocol.current_view t.proto
+let proto t = Member.protocol t.core
 
-let is_member t =
-  (not t.stopped) && Protocol.alive t.proto && View.mem t.me (view t)
+let view t = Member.view t.core
 
-let is_joining t = (not t.stopped) && Protocol.joining t.proto
+let is_member t = (not t.stopped) && Member.is_member t.core
 
-(* The incremental checksum the divergence gossip compares: installed
-   view, merged floors, and the application snapshot digest. Cheap —
-   the floors list is one entry per member. *)
-let current_digest t =
-  let v = view t in
-  let app = match t.app_digest with Some f -> f () | None -> 0 in
-  Hashtbl.hash (v.View.id, v.View.members, List.sort compare (Protocol.floors t.proto), app)
+let is_joining t = (not t.stopped) && Member.is_joining t.core
 
-let divergences t = Metrics.Counter.value t.c_divergence
+let parked t = Member.parked t.core
 
-let purged t = Protocol.purged_count t.proto
+let divergences t = Member.divergences t.core
 
-let purged_at t site = Protocol.purged_at t.proto site
+let purged t = Protocol.purged_count (proto t)
+
+let purged_at t site = Protocol.purged_at (proto t) site
 
 let bytes_out t = Tcp_mesh.bytes_out t.mesh
 
@@ -213,18 +177,11 @@ let bytes_in t = Tcp_mesh.bytes_in t.mesh
 
 let suspicions t = Metrics.Counter.value t.suspicions
 
-let delivery_latency t = t.delivery_latency
-
 let pending_to t ~dst = Tcp_mesh.pending_bytes t.mesh ~dst
 
-let note_arrival t (d : 'p Types.data) =
-  if not (Hashtbl.mem t.arrivals d.Types.id) then
-    Hashtbl.replace t.arrivals d.Types.id (d.Types.view_id, Loop.now t.loop)
-
-let send_packet t ~dst packet =
-  let w = t.pkt_writer in
+let send_packet mesh w pc ~dst packet =
   Codec.Writer.clear w;
-  write_packet t.payload_codec w packet;
+  write_packet pc w packet;
   (* Annotated data frames are the ones semantic shedding may purge
      from a congested link's queue (a newer queued frame obsoleting
      them); everything else — control traffic, unannotated data — is
@@ -237,132 +194,60 @@ let send_packet t ~dst packet =
   in
   (* The writer's bytes move straight into the mesh batch — no
      per-packet string, no per-packet syscall. *)
-  Tcp_mesh.send_writer t.mesh ~dst ?meta w
+  Tcp_mesh.send_writer mesh ~dst ?meta w
 
-let rec drain t =
-  let outs = Protocol.take_outputs t.proto in
-  List.iter (handle_output t) outs;
-  if Protocol.to_deliver_length t.proto > 0 then t.on_deliverable ()
+(* Written-off peers are alive by agreement (listed in an installed
+   view) or on the far side of a cut this node is probing across:
+   forgive them and open a fresh FIFO stream. *)
+let forgive_peers t ps =
+  List.iter
+    (fun p -> if p <> t.me && Tcp_mesh.written_off t.mesh ~dst:p then Tcp_mesh.forget_peer t.mesh ~dst:p)
+    ps
 
-and handle_output t = function
-  | Types.Send { dst; wire } ->
-      (match wire with
-      | Types.Wdata d ->
-          if Trace.enabled t.tracer then
-            Trace.emit t.tracer
-              (Trace.Tx
-                 {
-                   node = t.me;
-                   dst;
-                   sender = d.Types.id.Msg_id.sender;
-                   sn = d.Types.id.Msg_id.sn;
-                   view_id = d.Types.view_id;
-                 })
-      | _ -> ());
-      send_packet t ~dst (Proto wire)
-  | Types.Installed v ->
-      Log.info (fun m -> m "node %d installed %a" t.me View.pp v);
-      (* The installed view is the recovery anchor: make it durable
-         before acting in it. *)
-      (match t.wal with Some w -> Wal.append_durable w (Wal.Install v) | None -> ());
-      (* A member listed in the new view is alive by agreement, so a
-         written-off stream towards it belongs to a dead incarnation:
-         forgive it and open a fresh FIFO stream. *)
-      List.iter
-        (fun p ->
-          if p <> t.me && Tcp_mesh.written_off t.mesh ~dst:p then
-            Tcp_mesh.forget_peer t.mesh ~dst:p)
-        v.View.members;
-      (* Frames queued towards peers the group just agreed are out are
-         dead weight against the mesh budget: drop them. (Their next
-         incarnation re-enters via JOIN/SYNC on a fresh stream.) The
-         flush first pushes whatever the kernel will still take — on a
-         healthy link that includes the consensus DECIDE telling the
-         excluded peer about this very view, which it needs to start
-         rejoining; only the undeliverable backlog is dropped. *)
-      if List.exists (fun p -> p <> t.me && not (List.mem p v.View.members)) t.peers_ids
-      then begin
-        Tcp_mesh.flush t.mesh;
-        List.iter
-          (fun p ->
-            if p <> t.me && not (List.mem p v.View.members) then
-              ignore (Tcp_mesh.drop_pending t.mesh ~dst:p : int))
-          t.peers_ids
-      end
-  | Types.Excluded v ->
-      Log.warn (fun m -> m "node %d excluded from %a" t.me View.pp v);
-      (* Primary-component mode: exclusion learned after a cut (the
-         majority moved on without us) is the same fate as parking —
-         come back through the probing-joiner path instead of dying.
-         A divergence self-demotion asked for this exclusion and
-         always rejoins. *)
-      if t.park_timeout <> None || t.heal_pending then t.want_rejoin <- true
-      else t.stopped <- true
-  | Types.Synced { view; app } ->
-      Log.info (fun m -> m "node %d synced into %a" t.me View.pp view);
-      (match t.park_epoch with
-      | Some t0 ->
-          (* Merge-on-heal completed: back in the primary component as
-             a new incarnation. *)
-          let dt = Loop.now t.loop -. t0 in
-          t.park_epoch <- None;
-          Metrics.Histogram.observe t.merge_spans dt;
-          if Trace.enabled t.tracer then
-            Trace.emit t.tracer
-              (Trace.Merge
-                 { node = t.me; view_id = view.View.id; parked_ms = int_of_float (dt *. 1000.0) })
-      | None -> ());
-      (* Re-synced state is authoritative: restart the divergence
-         bookkeeping from scratch. *)
-      t.heal_pending <- false;
-      t.div_streak <- 0;
-      t.div_last <- None;
-      Hashtbl.reset t.peer_digests;
-      t.on_synced view app
-  | Types.Propose { view_id; proposal } -> start_instance t ~view_id proposal
-
-and start_instance t ~view_id proposal =
-  if not (Hashtbl.mem t.instances view_id) then begin
-    let members = (view t).View.members in
-    let inst =
-      Ct.create t.engine ~me:t.me ~members
-        ~suspects:(fun p -> Heartbeat.suspects t.hb p)
-        ~send:(fun ~dst msg -> send_packet t ~dst (Cons { view_id; msg }))
-        ~on_decide:(fun v ->
-          Protocol.decided t.proto ~view_id v;
-          drain t)
-        proposal
-    in
-    Hashtbl.replace t.instances view_id inst;
-    (match Hashtbl.find_opt t.cons_stash view_id with
-    | None -> ()
-    | Some stash ->
-        let msgs = List.rev !stash in
-        Hashtbl.remove t.cons_stash view_id;
-        List.iter (fun (src, msg) -> Ct.on_message inst ~src msg) msgs);
-    drain t
+let installed t v =
+  Log.info (fun m -> m "node %d installed %a" t.me View.pp v);
+  (* The installed view is the recovery anchor: make it durable
+     before acting in it. *)
+  (match t.wal with Some w -> Wal.append_durable w (Wal.Install v) | None -> ());
+  forgive_peers t v.View.members;
+  (* Frames queued towards peers the group just agreed are out are
+     dead weight against the mesh budget: drop them. (Their next
+     incarnation re-enters via JOIN/SYNC on a fresh stream.) The
+     flush first pushes whatever the kernel will still take — on a
+     healthy link that includes the consensus DECIDE telling the
+     excluded peer about this very view, which it needs to start
+     rejoining; only the undeliverable backlog is dropped. *)
+  if List.exists (fun p -> p <> t.me && not (List.mem p v.View.members)) t.peers_ids then begin
+    Tcp_mesh.flush t.mesh;
+    List.iter
+      (fun p ->
+        if p <> t.me && not (List.mem p v.View.members) then
+          ignore (Tcp_mesh.drop_pending t.mesh ~dst:p : int))
+      t.peers_ids
   end
 
-let on_suspicion t =
-  if is_member t then begin
-    Protocol.notify_suspicion_change t.proto;
-    let suspected = Heartbeat.suspected_set t.hb in
-    if suspected <> [] then Protocol.trigger_view_change t.proto ~leave:suspected ();
-    drain t
-  end
+(* Fallen out of the primary component: the member shell swaps in a
+   recovering joiner of the same identity. The durable floors make
+   re-entry duplicate-free; the sequence lease keeps the new
+   incarnation's sns fresh. *)
+let rejoin t =
+  let r = Member.recovery t.core in
+  let next_sn = Stdlib.max t.leased r.Protocol.next_sn in
+  t.leased <- next_sn;
+  Member.restart t.core ~recovery:{ r with Protocol.next_sn } ();
+  forgive_peers t t.peers_ids
 
 let on_packet t ~src packet =
   if not t.stopped then
     match packet with
     | Beat { view_id; digest } ->
         if not (Hashtbl.mem t.evicting src) then begin
-          Hashtbl.replace t.peer_digests src (view_id, digest);
+          Member.note_digest t.core ~src ~view_id digest;
           Heartbeat.on_heartbeat t.hb ~src
         end
     | Proto wire ->
         (match wire with
         | Types.Wdata d ->
-            note_arrival t d;
             if Trace.enabled t.tracer then
               Trace.emit t.tracer
                 (Trace.Rx
@@ -374,167 +259,8 @@ let on_packet t ~src packet =
                      view_id = d.Types.view_id;
                    })
         | _ -> ());
-        Protocol.receive t.proto ~src wire;
-        drain t
-    | Cons { view_id; msg } -> (
-        match Hashtbl.find_opt t.instances view_id with
-        | Some inst ->
-            Ct.on_message inst ~src msg;
-            drain t
-        | None ->
-            if view_id >= (view t).View.id then begin
-              let stash =
-                match Hashtbl.find_opt t.cons_stash view_id with
-                | Some s -> s
-                | None ->
-                    let s = ref [] in
-                    Hashtbl.replace t.cons_stash view_id s;
-                    s
-              in
-              stash := (src, msg) :: !stash
-            end)
-
-(* A joiner nags the group — cycling contacts, since any single one may
-   be blocked, excluded, or dead — until a sponsor's SYNC lands. *)
-let start_join_nag t =
-  let contacts = List.filter (fun p -> p <> t.me) t.peers_ids in
-  let next = ref 0 in
-  ignore
-    (Loop.every t.loop ~period:0.25 (fun () ->
-         if t.stopped || not (Protocol.joining t.proto) then false
-         else begin
-           (match contacts with
-           | [] -> ()
-           | _ ->
-               let contact = List.nth contacts (!next mod List.length contacts) in
-               incr next;
-               Protocol.join_request t.proto ~contact;
-               drain t);
-           true
-         end)
-      : Loop.timer)
-
-(* Fallen out of the primary component (parked on quorum loss, or
-   excluded while cut off): swap the protocol for a recovering joiner
-   of the same identity and probe every peer until a sponsor answers.
-   The durable floors make re-entry duplicate-free; the sequence lease
-   keeps the new incarnation's sns fresh. *)
-let rejoin_via_probe t =
-  let recovery =
-    {
-      Protocol.view_id = (Protocol.current_view t.proto).View.id;
-      floors = Protocol.floors t.proto;
-      next_sn = Stdlib.max t.leased (Protocol.next_sn t.proto);
-    }
-  in
-  Hashtbl.iter (fun _ inst -> Ct.stop inst) t.instances;
-  Hashtbl.reset t.instances;
-  Hashtbl.reset t.cons_stash;
-  t.blocked_obs <- None;
-  t.leased <- recovery.Protocol.next_sn;
-  let proto =
-    Protocol.create_joiner ~me:t.me ~recovery ~semantic:t.semantic ~tracer:t.tracer
-      ?metrics:t.metrics
-      ~clock:(fun () -> Loop.now t.loop)
-      ~suspects:(fun p -> Heartbeat.suspects t.hb p)
-      ()
-  in
-  (match t.state_transfer_fn with Some f -> Protocol.set_state_transfer proto f | None -> ());
-  t.proto <- proto;
-  (* Written-off peers are alive on the far side of the cut: forgive
-     them so the mesh keeps dialing across the partition. *)
-  List.iter
-    (fun p -> if p <> t.me && Tcp_mesh.written_off t.mesh ~dst:p then Tcp_mesh.forget_peer t.mesh ~dst:p)
-    t.peers_ids;
-  start_join_nag t
-
-(* Quorum loss: the park deadline expired with this node still blocked
-   in the same view change — it has lost the majority of its view. *)
-let park t =
-  if is_member t then begin
-    Protocol.park t.proto;
-    t.park_epoch <- Some (Loop.now t.loop);
-    rejoin_via_probe t
-  end
-
-let parked t = t.park_epoch <> None
-
-(* One round of the divergence check. Digests legitimately differ
-   while traffic is in flight (floors advance at different times), so
-   a node only counts a round against itself when it is quiescent and
-   {e every} other member of its view reports one common digest that
-   differs from its own — and only a streak of such rounds demotes.
-   The demotion is self-exclusion (the group installs a view without
-   us) followed by the ordinary probing-joiner re-entry, so the whole
-   JOIN/SYNC + state-transfer machinery heals the divergent replica. *)
-let check_divergence t =
-  if t.heal_pending then begin
-    (* The exclusion we asked for can be ignored while the protocol is
-       blocked: keep nudging until it lands. *)
-    if is_member t && not (Protocol.blocked t.proto) then begin
-      Protocol.trigger_view_change t.proto ~leave:[ t.me ] ();
-      drain t
-    end
-  end
-  else if
-    is_member t
-    && (not (Protocol.blocked t.proto))
-    && Protocol.to_deliver_length t.proto = 0
-  then begin
-    let v = view t in
-    let mine = current_digest t in
-    let others = List.filter (fun p -> p <> t.me) v.View.members in
-    let reports =
-      List.filter_map
-        (fun p ->
-          match Hashtbl.find_opt t.peer_digests p with
-          | Some (vid, d) when vid = v.View.id -> Some d
-          | _ -> None)
-        others
-    in
-    let odd_one_out =
-      others <> []
-      && List.length reports = List.length others
-      &&
-      match reports with
-      | d :: rest when d <> mine -> List.for_all (fun x -> x = d) rest
-      | _ -> false
-    in
-    if odd_one_out then begin
-      (* Only the *same* disagreement counts towards the streak:
-         in-flight traffic makes floors (and so digests) drift between
-         checks — a healthy node momentarily behind its peers sees a
-         different disagreement each round, while a genuinely corrupt
-         quiescent replica freezes on one. *)
-      let theirs = match reports with d :: _ -> d | [] -> assert false in
-      (match t.div_last with
-      | Some (pm, pd) when pm = mine && pd = theirs -> t.div_streak <- t.div_streak + 1
-      | Some _ | None ->
-          t.div_streak <- 1;
-          t.div_last <- Some (mine, theirs));
-      if t.div_streak >= divergence_rounds then begin
-        Log.warn (fun m ->
-            m "node %d: state digest diverged from the rest of view %d — self-demoting" t.me
-              v.View.id);
-        Metrics.Counter.incr t.c_divergence;
-        if Trace.enabled t.tracer then
-          Trace.emit t.tracer (Trace.Divergence { node = t.me; view_id = v.View.id });
-        t.div_streak <- 0;
-        t.div_last <- None;
-        t.heal_pending <- true;
-        Protocol.trigger_view_change t.proto ~leave:[ t.me ] ();
-        drain t
-      end
-    end
-    else begin
-      t.div_streak <- 0;
-      t.div_last <- None
-    end
-  end
-  else begin
-    t.div_streak <- 0;
-    t.div_last <- None
-  end
+        Member.receive t.core ~src wire
+    | Cons { view_id; msg } -> Member.on_cons t.core ~src ~view_id msg
 
 let multicast t ?ann payload =
   if t.stopped then Error `Not_member
@@ -546,7 +272,7 @@ let multicast t ?ann payload =
        exhausts the durable headroom blocks on fsync here. *)
     (match t.wal with
     | Some w ->
-        let sn = Protocol.next_sn t.proto in
+        let sn = Protocol.next_sn (proto t) in
         if sn >= t.durable_leased then begin
           if sn >= t.leased then begin
             t.leased <- sn + lease_chunk;
@@ -560,10 +286,7 @@ let multicast t ?ann payload =
           Wal.append w (Wal.Lease { next_sn = t.leased })
         end
     | None -> ());
-    let result = Protocol.multicast t.proto ?ann payload in
-    (match result with Ok d -> note_arrival t d | Error _ -> ());
-    drain t;
-    result
+    Member.multicast t.core ?ann payload
   end
 
 (* Admission control. {!multicast} never blocks the caller — a slow
@@ -648,8 +371,7 @@ let check_slow_members t =
 let deliver t =
   if t.stopped then None
   else
-    match Protocol.deliver t.proto with
-    | None -> None
+    match Member.deliver t.core with
     | Some (Types.Data d) as r ->
         (* Delivery-floor updates ride the periodic sync: losing the
            tail only re-widens the floor, never narrows it below a
@@ -659,33 +381,21 @@ let deliver t =
             Wal.append w
               (Wal.Floor { sender = d.Types.id.Msg_id.sender; sn = d.Types.id.Msg_id.sn })
         | None -> ());
-        (match Hashtbl.find_opt t.arrivals d.Types.id with
-        | Some (_, at) ->
-            Metrics.Histogram.observe t.delivery_latency (Loop.now t.loop -. at);
-            Hashtbl.remove t.arrivals d.Types.id
-        | None -> ());
         r
-    | Some (Types.View_change v) as r ->
-        (* Sweep timestamps of messages that can no longer be
-           delivered (purged or stale entries of finished views). *)
-        Hashtbl.filter_map_inplace
-          (fun _ ((view_id, _) as entry) ->
-            if view_id < v.View.id then None else Some entry)
-          t.arrivals;
-        r
+    | r -> r
 
 let deliver_all t =
   let rec go acc = match deliver t with None -> List.rev acc | Some d -> go (d :: acc) in
   go []
 
-let pending t = Protocol.to_deliver_length t.proto
+let pending t = Member.pending t.core
 
 let status_label t =
   if t.stopped then "stopped"
-  else if Protocol.parked t.proto then "parked"
-  else if Protocol.joining t.proto then "joining"
-  else if Protocol.blocked t.proto then "blocked"
-  else if Protocol.alive t.proto then "member"
+  else if Protocol.parked (proto t) then "parked"
+  else if Protocol.joining (proto t) then "joining"
+  else if Protocol.blocked (proto t) then "blocked"
+  else if Protocol.alive (proto t) then "member"
   else "dead"
 
 let wal_segment t = match t.wal with Some w -> Some (Wal.current_segment w) | None -> None
@@ -701,12 +411,12 @@ let status_json t =
     (String.concat "," (List.map string_of_int v.View.members));
   Printf.bprintf b "\"pending\":%d,\"purged\":%d,\"suspicions\":%d,\"next_sn\":%d,"
     (pending t) (purged t) (suspicions t)
-    (Protocol.next_sn t.proto);
+    (Protocol.next_sn (proto t));
   Printf.bprintf b "\"floors\":{%s},"
     (String.concat ","
        (List.map
           (fun (sender, sn) -> Printf.sprintf "\"%d\":%d" sender sn)
-          (List.sort compare (Protocol.floors t.proto))));
+          (List.sort compare (Protocol.floors (proto t)))));
   (match wal_segment t with
   | Some seg -> Printf.bprintf b "\"wal\":{\"segment\":%d}," seg
   | None -> Printf.bprintf b "\"wal\":null,");
@@ -794,6 +504,11 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       Wal.append_durable w (Wal.Lease { next_sn = recovered_next_sn })
   | _ -> ());
   let node_label = [ ("node", string_of_int me) ] in
+  let counter name =
+    match config.metrics with
+    | None -> Metrics.Counter.detached ()
+    | Some reg -> Metrics.counter reg ~labels:node_label name
+  in
   let t_ref = ref None in
   let mesh =
     Tcp_mesh.create loop ~me ~listen_fd ~peers
@@ -814,53 +529,98 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       ~backpressure:config.backpressure ~max_frame:config.max_frame
       ~flush_interval:config.flush_interval ()
   in
+  (* One writer, reused for every outbound packet. *)
+  let send = send_packet mesh (Codec.Writer.create ~initial_capacity:256 ()) payload_codec in
   let hb_ref = ref None in
-  let suspects p =
-    match !hb_ref with Some hb -> Heartbeat.suspects hb p | None -> false
+  let with_t f = match !t_ref with Some t -> f t | None -> () in
+  let host =
+    {
+      Member.send_wire =
+        (fun ~dst wire ->
+          (match wire with
+          | Types.Wdata d ->
+              if Trace.enabled config.tracer then
+                Trace.emit config.tracer
+                  (Trace.Tx
+                     {
+                       node = me;
+                       dst;
+                       sender = d.Types.id.Msg_id.sender;
+                       sn = d.Types.id.Msg_id.sn;
+                       view_id = d.Types.view_id;
+                     })
+          | _ -> ());
+          send ~dst (Proto wire));
+      send_cons = (fun ~dst ~view_id msg -> send ~dst (Cons { view_id; msg }));
+      suspects = (fun p -> match !hb_ref with Some hb -> Heartbeat.suspects hb p | None -> false);
+      suspected =
+        (fun () -> match !hb_ref with Some hb -> Heartbeat.suspected_set hb | None -> []);
+      propose = None;
+      backlog = (fun () -> 0);
+      deliverable =
+        (fun () ->
+          match !t_ref with
+          | Some t -> if Member.pending t.core > 0 then on_deliverable ()
+          | None -> ());
+      installed = (fun v -> with_t (fun t -> installed t v));
+      excluded =
+        (fun v ~rejoin ->
+          Log.warn (fun m -> m "node %d excluded from %a" me View.pp v);
+          if not rejoin then with_t (fun t -> t.stopped <- true));
+      synced =
+        (fun v app ->
+          Log.info (fun m -> m "node %d synced into %a" me View.pp v);
+          on_synced v app);
+      parked = (fun () -> ());
+      rejoin = (fun () -> with_t rejoin);
+    }
   in
-  let clock () = Loop.now loop in
-  let proto =
+  (* The previous incarnation's streams died with it, so a node
+     recovered from a non-fresh log cannot silently resume membership:
+     it restarts as a joiner carrying its durable floors and sequence
+     lease, and re-enters through the JOIN/SYNC handshake. *)
+  let recovery =
     match recovered with
     | Some r when not r.Wal.fresh ->
-        (* The previous incarnation's streams died with it, so it
-           cannot silently resume membership: it restarts as a joiner
-           carrying its durable floors and sequence lease, and re-enters
-           through the JOIN/SYNC handshake. *)
-        let recovery =
+        Some
           {
-            Protocol.view_id =
-              (match r.Wal.view with Some v -> v.View.id | None -> -1);
+            Protocol.view_id = (match r.Wal.view with Some v -> v.View.id | None -> -1);
             floors = r.Wal.floors;
             next_sn = recovered_next_sn;
           }
-        in
-        let p =
-          Protocol.create_joiner ~me ~recovery ~semantic:config.semantic
-            ~tracer:config.tracer ?metrics:config.metrics ~clock ~suspects ()
-        in
-        if r.Wal.tainted then Protocol.mark_lease_uncertain p;
-        p
     | _ ->
-        let initial_view = View.initial ~members in
         (* Anchor a brand-new log so even a crash before the first view
            change recovers a view. *)
         (match wal with
-        | Some w -> Wal.append_durable w (Wal.Install initial_view)
+        | Some w -> Wal.append_durable w (Wal.Install (View.initial ~members))
         | None -> ());
-        Protocol.create ~me ~initial_view ~semantic:config.semantic ~tracer:config.tracer
-          ?metrics:config.metrics ~clock ~suspects ()
+        None
   in
-  (match state_transfer with
-  | Some f -> Protocol.set_state_transfer proto f
-  | None -> ());
+  let core =
+    Member.create engine ~me ~peers:members
+      ~clock:(fun () -> Loop.now loop)
+      ~semantic:config.semantic ~tracer:config.tracer ?metrics:config.metrics ?recovery
+      ?park_timeout:config.park_timeout
+      ?divergence:
+        (Option.map
+           (fun period -> { Member.period; rounds = divergence_rounds; heal = true })
+           config.divergence_period)
+      ?stability_period:config.stability_period
+      ~merge_spans:
+        (match config.metrics with
+        | None -> Metrics.Histogram.detached ()
+        | Some reg -> Metrics.histogram reg ~labels:node_label "rt_merge_seconds")
+      ~divergences:(counter "svs_divergence_detected_total")
+      host
+  in
+  (match recovered with
+  | Some r when r.Wal.tainted -> Protocol.mark_lease_uncertain (Member.protocol core)
+  | _ -> ());
+  Option.iter (Member.set_state_transfer core) state_transfer;
+  Option.iter (Member.set_state_digest core) state_digest;
   let hb =
-    Heartbeat.create engine config.heartbeat ~me ~peers:members
-      ~send_heartbeat:(fun ~dst ->
-        match !t_ref with
-        | Some t ->
-            send_packet t ~dst
-              (Beat { view_id = (view t).View.id; digest = current_digest t })
-        | None -> ())
+    Heartbeat.create engine config.heartbeat ~me ~peers:members ~send_heartbeat:(fun ~dst ->
+        send ~dst (Beat { view_id = (Member.view core).View.id; digest = Member.digest core }))
   in
   hb_ref := Some hb;
   let t =
@@ -869,58 +629,21 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       me;
       engine;
       started_at;
-      proto;
+      core;
       wal;
       leased = recovered_next_sn;
       durable_leased = recovered_next_sn;
-      pkt_writer = Codec.Writer.create ~initial_capacity:256 ();
-      on_synced;
       mesh;
-      payload_codec;
       hb;
-      instances = Hashtbl.create 7;
-      cons_stash = Hashtbl.create 7;
-      on_deliverable;
       stopped = false;
       tracer = config.tracer;
-      semantic = config.semantic;
-      metrics = config.metrics;
-      state_transfer_fn = state_transfer;
       peers_ids = members;
-      park_timeout = config.park_timeout;
-      blocked_obs = None;
-      park_epoch = None;
-      want_rejoin = false;
-      peer_digests = Hashtbl.create 7;
-      div_streak = 0;
-      div_last = None;
-      heal_pending = false;
-      app_digest = state_digest;
-      c_divergence =
-        (match config.metrics with
-        | None -> Metrics.Counter.detached ()
-        | Some reg -> Metrics.counter reg ~labels:node_label "svs_divergence_detected_total");
-      suspicions =
-        (match config.metrics with
-        | None -> Metrics.Counter.detached ()
-        | Some reg -> Metrics.counter reg ~labels:node_label "rt_suspicions_total");
-      c_slow_reports =
-        (match config.metrics with
-        | None -> Metrics.Counter.detached ()
-        | Some reg -> Metrics.counter reg ~labels:node_label "rt_slow_member_reports_total");
+      suspicions = counter "rt_suspicions_total";
+      c_slow_reports = counter "rt_slow_member_reports_total";
       slow_member = config.slow_member;
       ready_callbacks = [];
       reported_slow = Hashtbl.create 7;
       evicting = Hashtbl.create 7;
-      delivery_latency =
-        (match config.metrics with
-        | None -> Metrics.Histogram.detached ()
-        | Some reg -> Metrics.histogram reg ~labels:node_label "rt_delivery_latency_seconds");
-      merge_spans =
-        (match config.metrics with
-        | None -> Metrics.Histogram.detached ()
-        | Some reg -> Metrics.histogram reg ~labels:node_label "rt_merge_seconds");
-      arrivals = Hashtbl.create 64;
     }
   in
   t_ref := Some t;
@@ -928,53 +651,19 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       Metrics.Counter.incr t.suspicions;
       if Trace.enabled t.tracer then
         Trace.emit t.tracer (Trace.Suspect { node = t.me; suspect = p });
-      on_suspicion t);
-  Heartbeat.on_rescind hb (fun _ -> on_suspicion t);
-  (* Advance the automata's virtual clock to wall time. *)
+      Member.on_suspicion core);
+  Heartbeat.on_rescind hb (fun _ -> Member.on_suspicion core);
+  (* Advance the automata's virtual clock to wall time: consensus,
+     heartbeats and the member shell's park, stability, divergence and
+     join timers all run on it. *)
   ignore
     (Loop.every loop ~period:0.01 (fun () ->
          if not t.stopped then begin
-           if t.want_rejoin then begin
-             t.want_rejoin <- false;
-             rejoin_via_probe t
-           end;
            Engine.run ~until:(Loop.now loop -. t.started_at) t.engine;
-           drain t
+           Member.drain core
          end;
          not t.stopped)
       : Loop.timer);
-  (* Primary-component survival: a member still blocked in the same
-     view change when the deadline expires has lost the majority — it
-     parks and probes its way back in. *)
-  (match config.park_timeout with
-  | None -> ()
-  | Some deadline ->
-      ignore
-        (Loop.every loop ~period:(Float.max 0.05 (deadline /. 4.0)) (fun () ->
-             if t.stopped then false
-             else begin
-               (if is_member t && Protocol.blocked t.proto then begin
-                  let vid = (view t).View.id in
-                  match t.blocked_obs with
-                  | Some (v, t0) when v = vid ->
-                      if Loop.now loop -. t0 >= deadline then park t
-                  | Some _ | None -> t.blocked_obs <- Some (vid, Loop.now loop)
-                end
-                else t.blocked_obs <- None);
-               true
-             end)
-          : Loop.timer));
-  (match config.stability_period with
-  | None -> ()
-  | Some period ->
-      ignore
-        (Loop.every loop ~period (fun () ->
-             if not t.stopped then begin
-               Protocol.gossip_stability t.proto;
-               drain t
-             end;
-             not t.stopped)
-          : Loop.timer));
   (* Slow-member escalation and admission-control ready callbacks:
      stage transitions depend only on mesh state the tick reads, so a
      quarter-second cadence is plenty. *)
@@ -983,17 +672,6 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
          if not t.stopped then check_slow_members t;
          not t.stopped)
       : Loop.timer);
-  (* Divergence self-healing: digests arrive on heartbeats; this timer
-     only evaluates them (and drives a pending self-demotion home). *)
-  (match config.divergence_period with
-  | None -> ()
-  | Some period ->
-      ignore
-        (Loop.every loop ~period (fun () ->
-             if not t.stopped then check_divergence t;
-             not t.stopped)
-          : Loop.timer));
-  if Protocol.joining proto then start_join_nag t;
   (match wal with
   | None -> ()
   | Some w ->
@@ -1011,7 +689,7 @@ let shutdown t =
   if not t.stopped then begin
     t.stopped <- true;
     Heartbeat.stop t.hb;
-    Hashtbl.iter (fun _ inst -> Ct.stop inst) t.instances;
+    Member.halt t.core;
     Tcp_mesh.close t.mesh;
     match t.wal with Some w -> Wal.close w | None -> ()
   end

@@ -3,8 +3,11 @@
     by wall-clock time.
 
     The same automata that run under the simulator are reused verbatim
-    (they are transport-agnostic); their timers live in a private
-    {!Svs_sim.Engine} that the I/O loop advances to wall-clock time.
+    (they are transport-agnostic) — including the member shell
+    {!Svs_core.Member}, which makes every consensus, suspicion, park,
+    rejoin and divergence decision for both stacks; their timers live
+    in a private {!Svs_sim.Engine} that the I/O loop advances to
+    wall-clock time.
 
     Deliveries are pulled with {!deliver} — the paper's down-call
     interface (§3.2): messages the application has not consumed yet
@@ -56,9 +59,10 @@ type config = {
   metrics : Svs_telemetry.Metrics.t option;
       (** When set, registers the node's instruments: the protocol's
           purge/occupancy/blocked set, the mesh byte counters and
-          batching instruments, [rt_suspicions_total] and
-          [rt_delivery_latency_seconds] (wall-clock seconds from
-          acceptance to application delivery), labelled by node. *)
+          batching instruments, [rt_suspicions_total],
+          [rt_merge_seconds] and the slow-member and divergence
+          counters, labelled by node. End-to-end and per-stage
+          latency are measured by [perfbench/], not here. *)
   flush_interval : float;
       (** Mesh batching horizon in seconds (see
           {!Tcp_mesh.create}): outbound packets coalesce per peer for
@@ -228,10 +232,6 @@ val suspicions : 'p t -> int
 val divergences : 'p t -> int
 (** Divergence self-demotions triggered so far (the
     [svs_divergence_detected_total] counter). *)
-
-val delivery_latency : 'p t -> Svs_telemetry.Metrics.Histogram.t
-(** Wall-clock seconds from message acceptance to application
-    delivery at this node. *)
 
 val pending_to : 'p t -> dst:int -> int
 (** Outbound bytes buffered towards a peer (sender-side buffer). *)

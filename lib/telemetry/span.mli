@@ -92,7 +92,8 @@ val analyze : ?block_threshold:float -> Trace.record list list -> report
     [Long_block] anomaly cutoff. *)
 
 val report_to_json : report -> string
-(** The [BENCH_rt_throughput.json] payload: one flat JSON object. *)
+(** The trace-summary payload ([BENCH_rt_trace.json]): one flat JSON
+    object. *)
 
 val pp_timeline : Format.formatter -> timeline -> unit
 

@@ -1,32 +1,19 @@
 #!/bin/sh
-# Runtime performance bench, two modes:
-#
-# default (MODE=throughput) — the perf-trajectory bench: run
-#   bench/rt_throughput.exe, a closed-loop 3-node in-process cluster
-#   over loopback TCP, and write the root-level
-#   BENCH_rt_throughput.json with the before/after series
-#   (seed-baseline / flush-per-send / batched: msgs/s, p50/p99
-#   delivery latency, minor words allocated per message).
-#
-#     scripts/bench_rt.sh
-#     DURATION=8 WINDOW=2048 scripts/bench_rt.sh
-#
-# MODE=trace — the observability pipeline: boot a real 3-node cluster
-#   as separate svs_node processes, record per-node JSONL traces, and
-#   merge them with svs_trace into one analysis JSON (throughput,
-#   latency percentiles, stability lag, purge effectiveness, anomaly
-#   counts).
+# Runtime observability bench (MODE=trace, the only mode): boot a real
+# 3-node cluster as separate svs_node processes, record per-node JSONL
+# traces, and merge them with svs_trace into one analysis JSON
+# (throughput, latency percentiles, stability lag, purge
+# effectiveness, anomaly counts).
 #
 #     MODE=trace DURATION=10 RATE=200 scripts/bench_rt.sh
 #
+# Throughput, latency and allocation are measured by the checked
+# benchmark in perfbench/ (sh perfbench/run.sh --workload saturate).
+#
 # Environment knobs:
-#   MODE        throughput | trace               (default throughput)
-#   DURATION    run length in seconds            (default: 6 / 10)
-#   OUT         output JSON path                 (default:
-#               BENCH_rt_throughput.json / BENCH_rt_trace.json)
-# throughput mode:
-#   WINDOW      closed-loop publisher window     (default 1024)
-# trace mode:
+#   MODE        trace                            (default trace)
+#   DURATION    run length in seconds            (default 10)
+#   OUT         output JSON path                 (default BENCH_rt_trace.json)
 #   RATE        publish rate, msg/s              (default 200)
 #   ITEMS       distinct data items published    (default 16)
 #   PORT_BASE   first TCP port; nodes use +0..+2 (default 7200)
@@ -35,16 +22,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-MODE="${MODE:-throughput}"
-
-if [ "$MODE" = "throughput" ]; then
-  DURATION="${DURATION:-6}"
-  WINDOW="${WINDOW:-1024}"
-  OUT="${OUT:-BENCH_rt_throughput.json}"
-  dune build bench/rt_throughput.exe
-  ./_build/default/bench/rt_throughput.exe \
-    --duration "$DURATION" --window "$WINDOW" --json "$OUT"
-  exit 0
+MODE="${MODE:-trace}"
+if [ "$MODE" != "trace" ]; then
+  echo "bench_rt: unknown MODE=$MODE (only trace; use perfbench/run.sh for throughput)" >&2
+  exit 2
 fi
 
 DURATION="${DURATION:-10}"

@@ -2,16 +2,20 @@
 # Tier-1 CI entry point: build + full test suite + chaos smoke sweep,
 # plus repo hygiene guards. Run from the repository root.
 #
-#   scripts/ci.sh        build + tests + chaos smoke
+#   scripts/ci.sh        build + tests + chaos smoke + mc smoke, and
+#                        one perfbench churn run (a live node crashes
+#                        and rejoins from its WAL over real sockets),
+#                        gated on its Checker verdict
 #   scripts/ci.sh smoke  also exercise the micro-benchmarks once
 #                        (liveness only — no timing gates), emit
 #                        BENCH_purge.json, and smoke the live
 #                        observability surface (admin endpoint +
 #                        svs_trace analyzer)
 #   scripts/ci.sh bench-smoke
-#                        run the runtime throughput bench once in
-#                        --smoke mode (1s series — liveness plus a
-#                        JSON shape check, no timing gates)
+#                        one short perfbench saturate run (2 s per
+#                        pass), gated on exit status 0 and the
+#                        Checker verdict "correct": true — no timing
+#                        gates
 #   scripts/ci.sh fuzz-smoke
 #                        run the byte-level fuzz suite with a bigger
 #                        iteration budget (FUZZ_ITERS, default 2000)
@@ -112,6 +116,27 @@ printf '%s\n' "$mc_out" | grep -q '"states": 0' && {
   echo "ci: model-checker smoke explored zero states" >&2; exit 1; }
 echo "ci: model-check smoke OK ($(printf '%s' "$mc_out" | sed -n 's/.*\("states": [0-9]*\).*\("interleavings": [0-9]*\).*/\1, \2/p'))"
 
+# Run one perfbench workload and gate it on exit status 0 and the
+# Checker verdict ("correct": true covers the §4 contracts plus the
+# inverted drop-one-delivery self-test). No timing gates.
+perfbench_correct() {
+  wl=$1; shift
+  if ! pb_out=$(sh perfbench/run.sh --workload "$wl" --seed 1000 --trace 0 "$@" 2>/dev/null); then
+    printf '%s\n' "$pb_out" | tail -1 >&2
+    echo "ci: perfbench $wl exited non-zero" >&2; exit 1
+  fi
+  printf '%s\n' "$pb_out" | tail -1 | grep -q '"correct": true' || {
+    printf '%s\n' "$pb_out" | tail -1 >&2
+    echo "ci: perfbench $wl run is not correct" >&2; exit 1; }
+  echo "ci: perfbench $wl OK"
+}
+
+# Runtime view change under the oracle: the churn workload crashes a
+# live node and restarts it over its WAL, so Chandra–Toueg consensus,
+# the heartbeat detector and JOIN/SYNC run over real sockets and the
+# whole log must pass Checker.
+perfbench_correct churn --seconds 5
+
 if [ "${1:-}" = "smoke" ]; then
   dune exec bench/main.exe -- --smoke
 
@@ -130,7 +155,6 @@ if [ "${1:-}" = "smoke" ]; then
   curl -sf "http://127.0.0.1:$aport/health" | grep -q '^ok'
   curl -sf "http://127.0.0.1:$aport/status" | grep -q '"status":"member"'
   curl -sf "http://127.0.0.1:$aport/metrics" > "$obs_dir/metrics.txt"
-  grep -q '^# TYPE rt_delivery_latency_seconds histogram' "$obs_dir/metrics.txt"
   grep -q 'le="+Inf"' "$obs_dir/metrics.txt"
   grep -q '^# TYPE tcp_flushes_total counter' "$obs_dir/metrics.txt"
   grep -q '^# TYPE tcp_writev_bytes_total counter' "$obs_dir/metrics.txt"
@@ -144,18 +168,9 @@ if [ "${1:-}" = "smoke" ]; then
 fi
 
 if [ "${1:-}" = "bench-smoke" ] || [ "${1:-}" = "smoke" ]; then
-  # Throughput bench liveness: one short closed-loop run, then check
-  # the emitted JSON has the shape the perf trajectory relies on.
-  bench_json=$(mktemp)
-  dune exec bench/rt_throughput.exe -- --smoke --json "$bench_json"
-  for key in '"benchmark": "rt_throughput"' '"seed-baseline"' \
-             '"flush-per-send"' '"batched"' '"msgs_per_s"' '"p50_ms"' \
-             '"p99_ms"' '"minor_words_per_msg"' '"speedup"'; do
-    grep -q "$key" "$bench_json" || {
-      echo "ci: bench JSON missing $key" >&2; rm -f "$bench_json"; exit 1; }
-  done
-  rm -f "$bench_json"
-  echo "ci: bench smoke OK"
+  # Runtime fast path: a short saturate run through the benchmark's own
+  # oracle (perfbench/ is the one runtime benchmark; see its README).
+  perfbench_correct saturate --seconds 2
 fi
 
 if [ "${1:-}" = "fuzz-smoke" ]; then

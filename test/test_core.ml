@@ -7,6 +7,7 @@ module Types = Svs_core.Types
 module Protocol = Svs_core.Protocol
 module Checker = Svs_core.Checker
 module Group = Svs_core.Group
+module Member = Svs_core.Member
 module Msg_id = Svs_obs.Msg_id
 module Annotation = Svs_obs.Annotation
 module Bitvec = Svs_obs.Bitvec
@@ -1366,6 +1367,121 @@ let test_purge_enum_drops_late_predecessor () =
   check_engine "reference" (module Purge_diff.Reference);
   check_engine "indexed" (module Purge_diff.Indexed)
 
+(* ------------------------------------------------------------------ *)
+(* Member: the divergence rule, driven directly                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Member 0 of view {0,1,2} over a recording host: no transport and no
+   engine run — the test feeds peer digests and runs the divergence
+   rounds by hand. [backlog] is the driver's held-back data. *)
+let member_harness ?(heal = true) ~rounds () =
+  let inits = ref 0 in
+  let backlog = ref 0 in
+  let host =
+    {
+      Member.send_wire =
+        (fun ~dst:_ wire -> match wire with Types.Winit _ -> incr inits | _ -> ());
+      send_cons = (fun ~dst:_ ~view_id:_ _ -> ());
+      suspects = (fun _ -> false);
+      suspected = (fun () -> []);
+      propose = None;
+      backlog = (fun () -> !backlog);
+      deliverable = (fun () -> ());
+      installed = (fun _ -> ());
+      excluded = (fun _ ~rejoin:_ -> ());
+      synced = (fun _ _ -> ());
+      parked = (fun () -> ());
+      rejoin = (fun () -> ());
+    }
+  in
+  let m =
+    Member.create (Engine.create ()) ~me:0 ~peers:[ 0; 1; 2 ]
+      ~clock:(fun () -> 0.0)
+      ~divergence:{ Member.period = 1.0; rounds; heal }
+      host
+  in
+  (m, inits, backlog)
+
+(* Both peers report [digest] for the member's current view. *)
+let report m digest =
+  List.iter
+    (fun src -> Member.note_digest m ~src ~view_id:(Member.view m).View.id digest)
+    [ 1; 2 ]
+
+let streak m = Member.divergence_streak m
+
+let test_member_streak_needs_same_disagreement () =
+  let m, _, _ = member_harness ~rounds:3 () in
+  let mine = Member.digest m in
+  report m (mine + 1);
+  Member.check_divergence m;
+  Member.check_divergence m;
+  Alcotest.(check int) "same (mine, theirs) extends" 2 (streak m);
+  report m (mine + 2);
+  Member.check_divergence m;
+  Alcotest.(check int) "a different theirs restarts at 1" 1 (streak m);
+  Member.set_state_digest m (fun () -> 7);
+  Member.check_divergence m;
+  Alcotest.(check int) "a different mine restarts at 1" 1 (streak m);
+  Member.note_digest m ~src:1 ~view_id:0 (Member.digest m + 1);
+  Member.check_divergence m;
+  Alcotest.(check int) "a split rest-of-view resets" 0 (streak m);
+  report m (Member.digest m);
+  Member.check_divergence m;
+  Alcotest.(check int) "agreement resets" 0 (streak m);
+  Alcotest.(check int) "never convicted" 0 (Member.divergences m)
+
+let test_member_nonquiescent_round_resets () =
+  let m, inits, backlog = member_harness ~rounds:3 () in
+  report m (Member.digest m + 1);
+  Member.check_divergence m;
+  Member.check_divergence m;
+  Alcotest.(check int) "two rounds counted" 2 (streak m);
+  backlog := 1;
+  Member.check_divergence m;
+  Alcotest.(check int) "held-back data resets" 0 (streak m);
+  backlog := 0;
+  Member.check_divergence m;
+  Member.check_divergence m;
+  Alcotest.(check int) "counting starts over" 2 (streak m);
+  Alcotest.(check int) "no conviction across the reset" 0 (Member.divergences m);
+  Member.check_divergence m;
+  Alcotest.(check int) "third straight round convicts" 1 (Member.divergences m);
+  Alcotest.(check int) "streak cleared on conviction" 0 (streak m);
+  Alcotest.(check int) "self-exclusion INIT to both peers" 2 !inits;
+  Alcotest.(check bool) "blocked in its own exclusion" true (Member.is_blocked m)
+
+let test_member_synced_clears_divergence () =
+  let m, _, _ = member_harness ~rounds:2 () in
+  report m (Member.digest m + 1);
+  Member.check_divergence m;
+  Alcotest.(check int) "one round counted" 1 (streak m);
+  (* Readmission as a new incarnation; the peers' digests for the
+     re-entry view race ahead of the SYNC. *)
+  Member.restart m ~recovery:(Member.recovery m) ();
+  Alcotest.(check bool) "joining" true (Member.is_joining m);
+  let v1 = View.make ~id:1 ~members:[ 0; 1; 2 ] in
+  List.iter (fun src -> Member.note_digest m ~src ~view_id:1 12345) [ 1; 2 ];
+  Member.receive m ~src:1 (Types.Wsync { view = v1; floors = []; app = None });
+  Alcotest.(check bool) "readmitted" true (Member.is_member m);
+  Alcotest.(check int) "streak cleared" 0 (streak m);
+  Member.check_divergence m;
+  Alcotest.(check int) "pre-sync reports forgotten" 0 (streak m);
+  Alcotest.(check int) "no conviction" 0 (Member.divergences m)
+
+let test_member_no_heal_counts_only () =
+  let m, inits, _ = member_harness ~heal:false ~rounds:2 () in
+  report m (Member.digest m + 1);
+  Member.check_divergence m;
+  Member.check_divergence m;
+  Alcotest.(check int) "detection counted" 1 (Member.divergences m);
+  Alcotest.(check int) "no self-exclusion sent" 0 !inits;
+  Alcotest.(check bool) "still an unblocked member" true
+    (Member.is_member m && not (Member.is_blocked m));
+  Member.check_divergence m;
+  Member.check_divergence m;
+  Alcotest.(check int) "keeps counting" 2 (Member.divergences m)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "svs_core"
@@ -1441,6 +1557,17 @@ let () =
             test_group_rejoin_with_state_transfer;
           q (group_random_scenarios ~semantic:true ~name:"random scenarios (semantic)");
           q (group_random_scenarios ~semantic:false ~name:"random scenarios (strict VS)");
+        ] );
+      ( "member",
+        [
+          Alcotest.test_case "streak needs the same disagreement" `Quick
+            test_member_streak_needs_same_disagreement;
+          Alcotest.test_case "non-quiescent round resets" `Quick
+            test_member_nonquiescent_round_resets;
+          Alcotest.test_case "synced clears divergence state" `Quick
+            test_member_synced_clears_divergence;
+          Alcotest.test_case "no-heal counts without demoting" `Quick
+            test_member_no_heal_counts_only;
         ] );
       ( "purge-diff",
         [
