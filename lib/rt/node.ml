@@ -373,13 +373,11 @@ let deliver t =
   else
     match Member.deliver t.core with
     | Some (Types.Data d) as r ->
-        (* Delivery-floor updates ride the periodic sync: losing the
-           tail only re-widens the floor, never narrows it below a
-           delivery that was made durable. *)
+        (* The floor is noted in memory and written once per sender by
+           the next sync: a crash before it only re-widens the floor,
+           never narrows it below a delivery that was made durable. *)
         (match t.wal with
-        | Some w ->
-            Wal.append w
-              (Wal.Floor { sender = d.Types.id.Msg_id.sender; sn = d.Types.id.Msg_id.sn })
+        | Some w -> Wal.note_floor w ~sender:d.Types.id.Msg_id.sender ~sn:d.Types.id.Msg_id.sn
         | None -> ());
         r
     | r -> r
@@ -438,9 +436,9 @@ let status_json t =
               try Heartbeat.timeout_of t.hb p.Tcp_mesh.peer with Invalid_argument _ -> 0.0
             in
             Printf.sprintf
-              "{\"peer\":%d,\"up\":%b,\"pending\":%d,\"attempts\":%d,\"written_off\":%b,\"quarantined\":%b,\"hb_timeout_s\":%.3f,\"stage\":\"%s\",\"shed\":%d,\"over_hard_s\":%.3f,\"evicting\":%b}"
-              p.Tcp_mesh.peer p.Tcp_mesh.up p.Tcp_mesh.pending p.Tcp_mesh.attempts
-              p.Tcp_mesh.written_off p.Tcp_mesh.quarantined hb_timeout
+              "{\"peer\":%d,\"up\":%b,\"nodelay\":%b,\"pending\":%d,\"attempts\":%d,\"written_off\":%b,\"quarantined\":%b,\"hb_timeout_s\":%.3f,\"stage\":\"%s\",\"shed\":%d,\"over_hard_s\":%.3f,\"evicting\":%b}"
+              p.Tcp_mesh.peer p.Tcp_mesh.up p.Tcp_mesh.nodelay p.Tcp_mesh.pending
+              p.Tcp_mesh.attempts p.Tcp_mesh.written_off p.Tcp_mesh.quarantined hb_timeout
               (Tcp_mesh.stage_name p.Tcp_mesh.stage)
               p.Tcp_mesh.shed p.Tcp_mesh.over_hard_s
               (Hashtbl.mem t.evicting p.Tcp_mesh.peer))
@@ -676,7 +674,8 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
   | None -> ()
   | Some w ->
       (* Group-commit tick: one fsync covers every append since the
-         last — floors and lease extensions ride it for free. *)
+         last — lease extensions ride it, and it writes the latest
+         delivery floor of each sender noted since the last sync. *)
       ignore
         (Loop.every loop ~period:0.05 (fun () ->
              Wal.sync w;

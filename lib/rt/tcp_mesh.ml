@@ -134,6 +134,7 @@ type outgoing = {
   dst : int;
   addr : Unix.sockaddr;
   mutable fd : Unix.file_descr option;
+  mutable nodelay : bool; (* TCP_NODELAY as read back from [fd] at dial *)
   mutable broken : bool;
       (* An established connection that failed, or a peer past the dial
          cap. The paper's system model gives reliable FIFO channels
@@ -404,6 +405,11 @@ let try_dial t (out : outgoing) =
     match Unix.connect fd out.addr with
     | () ->
         Unix.set_nonblock fd;
+        (* This is the only socket the mesh writes to. Batching is the
+           flush interval's and the watermark's job; Nagle would hold a
+           sub-segment batch back until the peer's delayed ACK. *)
+        Unix.setsockopt fd Unix.TCP_NODELAY true;
+        out.nodelay <- Unix.getsockopt fd Unix.TCP_NODELAY;
         out.fd <- Some fd;
         out.attempts <- 0;
         out.delay <- t.dial.base_delay;
@@ -637,6 +643,7 @@ let create loop ~me ~listen_fd ~peers ~on_frame ?(tracer = Trace.nop) ?metrics
                 dst;
                 addr;
                 fd = None;
+                nodelay = false;
                 broken = false;
                 dial_failed = false;
                 attempts = 0;
@@ -910,6 +917,7 @@ let stage_name = function Bp_normal -> "normal" | Bp_soft -> "soft" | Bp_hard ->
 type peer_stat = {
   peer : int;
   up : bool;
+  nodelay : bool;
   pending : int;
   attempts : int;
   written_off : bool;
@@ -926,6 +934,7 @@ let peer_stats t =
       {
         peer = dst;
         up = out.fd <> None;
+        nodelay = out.fd <> None && out.nodelay;
         pending = peer_pending out;
         attempts = out.attempts;
         written_off = out.broken;

@@ -14,7 +14,10 @@
     Small multicasts sent within one flush interval coalesce into a
     single batch — one length prefix, one write syscall — instead of
     one syscall per message per peer. Inner frames are the unit the
-    protocol sees; batching is invisible above this module.
+    protocol sees; batching is invisible above this module. Dialled
+    sockets — the only ones the mesh writes to — set [TCP_NODELAY],
+    so the flush interval and the watermark are the only coalescing:
+    the kernel never holds a sealed batch back for a delayed ACK.
 
     {b Zero-copy paths.} Outbound frames are built straight into the
     per-peer batch and flushed from an {!Iobuf} with a single
@@ -273,6 +276,10 @@ val stage_name : bp_stage -> string
 type peer_stat = {
   peer : int;
   up : bool;  (** Outbound connection currently established. *)
+  nodelay : bool;
+      (** [TCP_NODELAY] is set on the established connection, as read
+          back from the socket when the dial succeeded ([false] while
+          down). *)
   pending : int;  (** {!pending_bytes} towards this peer. *)
   attempts : int;  (** Consecutive failed dials (0 once connected). *)
   written_off : bool;

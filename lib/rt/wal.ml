@@ -43,6 +43,7 @@ type t = {
   me : int;
   segment_limit : int;
   state : state;
+  notes : (int, int) Hashtbl.t; (* latest delivery floor noted per sender *)
   mutable fd : Unix.file_descr;
   mutable seg_index : int;
   mutable seg_bytes : int;
@@ -310,7 +311,8 @@ let append_scratch t =
 
 let pending_bytes t = Iobuf.length t.tail
 
-let sync t =
+(* Flush the tail and fsync it (no-op when clean). *)
+let commit t =
   if t.dirty && not t.closed then begin
     flush t;
     Unix.fsync t.fd;
@@ -480,6 +482,7 @@ let open_ ~dir ~me ?(segment_limit = 4 * 1024 * 1024) ?(salvage = true) ?metrics
           me;
           segment_limit;
           state;
+          notes = Hashtbl.create 8;
           fd;
           seg_index;
           seg_bytes;
@@ -506,7 +509,7 @@ let open_ ~dir ~me ?(segment_limit = 4 * 1024 * 1024) ?(salvage = true) ?metrics
           encode_record t.scratch_w (snapshot_of_state state);
           append_scratch t
         end;
-        sync t
+        commit t
       end;
       if !rewrite then
         List.iter
@@ -533,13 +536,29 @@ let open_exn ~dir ~me ?segment_limit ?salvage ?metrics () =
   | Ok v -> v
   | Error e -> raise (Open_error e)
 
+let append_record t record =
+  apply t.state record;
+  encode_record t.scratch_w record;
+  append_scratch t;
+  Metrics.Counter.incr t.c_appends
+
+(* One [Floor] per sender whose noted floor is above the logged one. *)
+let write_floors t =
+  Hashtbl.iter
+    (fun sender sn ->
+      match Hashtbl.find_opt t.state.floors sender with
+      | Some logged when logged >= sn -> ()
+      | _ -> append_record t (Floor { sender; sn }))
+    t.notes
+
 (* Open the next segment, seeded with the identity stamp and a
    snapshot of the current state; once the new segment is durable, the
    older ones are redundant and removed. *)
 let rotate t =
   (* The tail belongs to the old segment: make it durable there before
      switching fds. *)
-  sync t;
+  write_floors t;
+  commit t;
   (try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ());
   let old = t.seg_index in
   t.seg_index <- t.seg_index + 1;
@@ -552,7 +571,7 @@ let rotate t =
   append_scratch t;
   encode_record t.scratch_w (snapshot_of_state t.state);
   append_scratch t;
-  sync t;
+  commit t;
   for i = 0 to old do
     let path = seg_path t.dir i in
     if Sys.file_exists path then Sys.remove path
@@ -561,11 +580,25 @@ let rotate t =
 
 let append t record =
   if t.closed then invalid_arg "Wal.append: closed";
-  apply t.state record;
-  encode_record t.scratch_w record;
-  append_scratch t;
-  Metrics.Counter.incr t.c_appends;
+  append_record t record;
   if t.seg_bytes >= t.segment_limit then rotate t
+
+let note_floor t ~sender ~sn =
+  if t.closed then invalid_arg "Wal.note_floor: closed";
+  match Hashtbl.find t.notes sender with
+  | noted when noted >= sn -> ()
+  | _ | exception Not_found -> Hashtbl.replace t.notes sender sn
+
+(* Every durable point goes through here, so the floors noted since
+   the last sync always reach the disk with it. Floors are the only
+   records a pure receiver writes, so the segment limit is checked
+   here as well as in {!append}. *)
+let sync t =
+  if not t.closed then begin
+    write_floors t;
+    commit t;
+    if t.seg_bytes >= t.segment_limit then rotate t
+  end
 
 let append_durable t record =
   append t record;

@@ -34,7 +34,9 @@
     on {!sync}, and {!sync} flushes plus fsyncs — the caller picks the
     point on the latency/durability curve per record (a sequence-number
     {!record.Lease} must be durable {e before} any leased number is
-    used, while delivery-floor updates can ride the periodic sync).
+    used, while delivery floors ride the periodic sync: {!note_floor}
+    keeps the latest per sender in memory and {!sync} writes one
+    [Floor] per sender that moved).
     A crash between an append and the next sync loses at most the tail,
     which recovery treats exactly like a torn write.
 
@@ -121,8 +123,17 @@ val append : t -> record -> unit
 (** Queue a record in the group-commit tail; durable only after the
     next {!sync}. *)
 
+val note_floor : t -> sender:int -> sn:int -> unit
+(** Note that everything from [sender] up to [sn] has been delivered.
+    The floor is kept in memory (no allocation once [sender] has been
+    noted before) and written by the next {!sync} as one [Floor]
+    record per sender whose floor rose — so every durable point
+    carries the floors noted before it, and a crash before it loses
+    only floors noted since the previous one. *)
+
 val sync : t -> unit
-(** Flush the tail and fsync outstanding appends (no-op when clean). *)
+(** Append the floors noted since the last sync, flush the tail and
+    fsync outstanding appends (no-op when clean). *)
 
 val append_durable : t -> record -> unit
 (** {!append} then {!sync}. *)

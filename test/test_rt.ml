@@ -663,6 +663,61 @@ let test_wal_group_commit_crash () =
   Alcotest.(check int) "durable lease survives both crashes" 7 r3.Wal.next_sn;
   Alcotest.(check (list (pair int int))) "floors intact" [ (0, 3) ] r3.Wal.floors
 
+let test_wal_floors_coalesce () =
+  (* Delivery floors are noted in memory: however many deliveries a
+     sender gets between two syncs, the sync writes one Floor. *)
+  let dir = temp_dir () in
+  let reg = Svs_telemetry.Metrics.create () in
+  let w, _ = Wal.open_exn ~dir ~me:6 ~metrics:reg () in
+  let appends () =
+    Svs_telemetry.Metrics.counter_value reg ~labels:[ ("node", "6") ] "wal_appends_total"
+  in
+  Wal.sync w;
+  let before = appends () in
+  for sn = 0 to 999 do
+    Wal.note_floor w ~sender:1 ~sn
+  done;
+  Alcotest.(check int) "noting appends nothing" before (appends ());
+  Wal.sync w;
+  Alcotest.(check int) "one Floor per sync" (before + 1) (appends ());
+  Wal.sync w;
+  Alcotest.(check int) "an unchanged floor is not rewritten" (before + 1) (appends ());
+  Wal.note_floor w ~sender:1 ~sn:500;
+  Wal.sync w;
+  Alcotest.(check int) "a lower floor is not rewritten" (before + 1) (appends ());
+  Wal.close w
+
+let test_wal_noted_floor_recovery () =
+  (* close and an explicit sync each make the last noted floor
+     durable; a crash before the tick recovers a floor between the
+     last synced one and the last noted one — never above what was
+     delivered. *)
+  let dir = temp_dir () in
+  let w, _ = wal_open ~dir ~me:8 () in
+  Wal.note_floor w ~sender:0 ~sn:41;
+  Wal.note_floor w ~sender:2 ~sn:7;
+  Wal.close w;
+  let w, r = wal_open ~dir ~me:8 () in
+  Alcotest.(check (list (pair int int))) "close writes the noted floors" [ (0, 41); (2, 7) ]
+    (List.sort compare r.Wal.floors);
+  Wal.note_floor w ~sender:0 ~sn:60;
+  Wal.sync w;
+  Wal.abandon w;
+  let w, r = wal_open ~dir ~me:8 () in
+  Alcotest.(check (list (pair int int))) "sync writes the noted floor" [ (0, 60); (2, 7) ]
+    (List.sort compare r.Wal.floors);
+  for sn = 61 to 90 do
+    Wal.note_floor w ~sender:0 ~sn
+  done;
+  Wal.abandon w;
+  let w, r = wal_open ~dir ~me:8 () in
+  Wal.close w;
+  let floor = List.assoc 0 r.Wal.floors in
+  Alcotest.(check bool)
+    (Printf.sprintf "crash recovers a floor in [60, 90] (got %d)" floor)
+    true
+    (floor >= 60 && floor <= 90)
+
 (* --- Node: a live three-member group over loopback --- *)
 
 let fast_heartbeats =
@@ -928,6 +983,57 @@ let test_mesh_forget_peer_redials () =
   Alcotest.(check bool) "no longer written off" false (Tcp_mesh.written_off mesh0 ~dst:1);
   Tcp_mesh.close mesh0;
   Tcp_mesh.close mesh1
+
+let test_mesh_nodelay () =
+  (* Every link a mesh writes to is Nagle-free: a sub-segment batch
+     must not wait on the peer's delayed ACK. That holds for the first
+     dial and for the redial after a write-off is forgiven. *)
+  let loop = Loop.create () in
+  let listeners = List.init 3 (fun _ -> Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0))) in
+  let peers = List.mapi (fun i (_, addr) -> (i, addr)) listeners in
+  let mesh i fd =
+    Tcp_mesh.create loop ~me:i ~listen_fd:fd ~peers ~on_frame:(fun ~src:_ _ -> ()) ()
+  in
+  let meshes = Array.of_list (List.mapi (fun i (fd, _) -> mesh i fd) listeners) in
+  let all_up m =
+    List.for_all (fun (p : Tcp_mesh.peer_stat) -> p.Tcp_mesh.up) (Tcp_mesh.peer_stats m)
+  in
+  let check_nodelay label m =
+    List.iter
+      (fun (p : Tcp_mesh.peer_stat) ->
+        if p.Tcp_mesh.up then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: link to %d has TCP_NODELAY" label p.Tcp_mesh.peer)
+            true p.Tcp_mesh.nodelay)
+      (Tcp_mesh.peer_stats m)
+  in
+  Loop.run ~until:(fun () -> Array.for_all all_up meshes) ~timeout:5.0 loop;
+  Alcotest.(check bool) "mesh up" true (Array.for_all all_up meshes);
+  Array.iteri (fun i m -> check_nodelay (Printf.sprintf "node %d" i) m) meshes;
+  (* Node 2 crashes; node 0 writes it off on the first failed write. *)
+  Tcp_mesh.close meshes.(2);
+  ignore
+    (Loop.every loop ~period:0.02 (fun () ->
+         Tcp_mesh.send meshes.(0) ~dst:2 "ping";
+         not (Tcp_mesh.written_off meshes.(0) ~dst:2)));
+  Loop.run ~until:(fun () -> Tcp_mesh.written_off meshes.(0) ~dst:2) ~timeout:5.0 loop;
+  Alcotest.(check bool) "written off" true (Tcp_mesh.written_off meshes.(0) ~dst:2);
+  let down = List.find (fun (p : Tcp_mesh.peer_stat) -> p.Tcp_mesh.peer = 2) in
+  Alcotest.(check bool) "a down link reports no NODELAY" false
+    (down (Tcp_mesh.peer_stats meshes.(0))).Tcp_mesh.nodelay;
+  (* Its new incarnation dials in; the hello makes node 0 forget the
+     write-off and redial. *)
+  let fd2, _ = Tcp_mesh.listener (List.assoc 2 peers) in
+  let m2 = mesh 2 fd2 in
+  let redialled () = (down (Tcp_mesh.peer_stats meshes.(0))).Tcp_mesh.up in
+  Loop.run ~until:(fun () -> redialled () && all_up m2) ~timeout:5.0 loop;
+  Alcotest.(check bool) "redialled" true (redialled ());
+  Alcotest.(check int) "through forget_peer" 1 (Tcp_mesh.writeoff_resets meshes.(0));
+  check_nodelay "node 0 after redial" meshes.(0);
+  check_nodelay "restarted node 2" m2;
+  Tcp_mesh.close meshes.(0);
+  Tcp_mesh.close meshes.(1);
+  Tcp_mesh.close m2
 
 let test_node_restart_rejoins () =
   (* The full recovery loop, live over TCP: a durable node crashes, the
@@ -1278,7 +1384,7 @@ let test_admin_node_status () =
       {|"view":{"id":0,"members":[0,1,2]}|};
       {|"floors":|};
       {|"wal":null|};
-      {|"peers":[{"peer":1,"up":true|};
+      {|"peers":[{"peer":1,"up":true,"nodelay":true|};
     ];
   Alcotest.(check string) "label" "member" (Node.status_label nodes.(0));
   Alcotest.(check (option int)) "no wal" None (Node.wal_segment nodes.(0));
@@ -1527,6 +1633,7 @@ let () =
           Alcotest.test_case "dial backoff" `Quick test_mesh_dial_backoff;
           Alcotest.test_case "dial cap writes off" `Quick test_mesh_dial_cap_writes_off;
           Alcotest.test_case "forget peer redials" `Quick test_mesh_forget_peer_redials;
+          Alcotest.test_case "TCP_NODELAY on every write socket" `Quick test_mesh_nodelay;
           Alcotest.test_case "quarantine and forgiveness" `Quick
             test_mesh_quarantine_and_forgiveness;
           QCheck_alcotest.to_alcotest torn_batch_property;
@@ -1543,6 +1650,8 @@ let () =
           Alcotest.test_case "rotation" `Quick test_wal_rotation;
           Alcotest.test_case "identity mismatch" `Quick test_wal_identity_mismatch;
           Alcotest.test_case "group-commit crash" `Quick test_wal_group_commit_crash;
+          Alcotest.test_case "floors coalesce per sync" `Quick test_wal_floors_coalesce;
+          Alcotest.test_case "noted floor recovery" `Quick test_wal_noted_floor_recovery;
           Alcotest.test_case "salvage interior corruption" `Quick test_wal_salvage_interior;
         ] );
       ( "admin",
