@@ -1,6 +1,7 @@
 (* Chaos sweep driver: N seeds x M fault scenarios through the full
    simulated stack, every run machine-checked by the SVS safety oracle.
-   Exits non-zero if any run violates the paper's §4 contracts. *)
+   Exits non-zero if any run violates the paper's §4 contracts, or, for
+   an inverted self-test, if the oracle misses a disabled defence. *)
 
 open Cmdliner
 module C = Svs_chaos
@@ -28,26 +29,24 @@ let mode_conv =
   in
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (C.Oracle.mode_label m))
 
-let default_scenarios =
-  List.filter (fun sc -> sc.C.Scenario.name <> "calm") C.Scenario.all
-
 let scenarios_term =
   Arg.(
     value
-    & opt (list scenario_conv) default_scenarios
+    & opt (some (list scenario_conv)) None
     & info [ "scenarios" ] ~docv:"NAMES"
         ~doc:
           "Comma-separated scenarios to sweep (default: every built-in except \
-           $(b,calm)).")
+           $(b,calm), or a self-test's own scenarios).")
 
 let modes_term =
   Arg.(
     value
-    & opt (list mode_conv) [ C.Oracle.Vs; C.Oracle.Svs ]
+    & opt (some (list mode_conv)) None
     & info [ "modes" ] ~docv:"MODES"
         ~doc:
           "Comma-separated oracle modes: $(b,vs) (empty relation, strict view synchrony) \
-           and/or $(b,svs) (k-enumeration annotations).")
+           and/or $(b,svs) (k-enumeration annotations). Default: both, or a self-test's \
+           own modes.")
 
 let seeds_term =
   Arg.(
@@ -92,56 +91,23 @@ let flight_term =
            $(docv)/flight-<scenario>-<mode>-<seed>.jsonl next to the replay line, so a \
            red sweep ships a postmortem, not just a seed.")
 
-let mutate_term =
+let self_test_term =
+  let names = "all" :: List.map (fun t -> t.C.Self_test.name) C.Self_test.all in
   Arg.(
-    value & flag
-    & info [ "mutate" ]
+    value
+    & opt (list (enum (List.map (fun n -> (n, n)) names))) []
+    & info [ "self-test" ] ~docv:"NAME[,NAME...]"
         ~doc:
-          "Self-test: drop one safety-relevant delivery from each recorded run before \
-           checking. Every run must then FAIL; the sweep exits zero only if the oracle \
-           catches all mutants.")
-
-let mutate_split_brain_term =
-  Arg.(
-    value & flag
-    & info [ "mutate-split-brain" ]
-        ~doc:
-          "Self-test: forge a divergent minority view onto each recorded run before \
-           checking — a process that missed the final view (or whose log is truncated at \
-           a crash boundary) pretends it installed its own singleton view. Every run must \
-           then FAIL; the sweep exits zero only if the oracle's primary-chain check \
-           catches all mutants.")
-
-let no_merge_term =
-  Arg.(
-    value & flag
-    & info [ "no-merge" ]
-        ~doc:
-          "Leave parked members parked forever instead of probing back in. Scenarios that \
-           expect re-convergence (e.g. $(b,split-heal-merge)) must then FAIL with a \
-           convergence violation, and all other runs must stay clean: the inverted \
-           self-check proving the merge path is what re-forms the group after a heal.")
-
-let no_recovery_term =
-  Arg.(
-    value & flag
-    & info [ "no-recovery" ]
-        ~doc:
-          "Restart crashed members amnesiac (without their durable state). Rejoin \
-           scenarios must then FAIL: the sweep exits zero only if the oracle flags every \
-           run that actually restarted someone — the inverted self-check proving the \
-           recovery path is what keeps Integrity true.")
-
-let no_shed_term =
-  Arg.(
-    value & flag
-    & info [ "no-shed" ]
-        ~doc:
-          "Disable semantic shedding everywhere. Scenarios with a backlog budget (e.g. \
-           $(b,overload)) must then EXCEED it — the wedged consumer's queue grows without \
-           the obsolete tail being purged — while every run still satisfies the safety \
-           oracle: the inverted self-check proving the budget verdict measures shedding, \
-           not a gentle workload.")
+          ("Run inverted self-checks instead of the sweep. Each named check turns off \
+            one defence, and only that one, over its own scenarios and modes \
+            ($(b,--scenarios), $(b,--modes) and $(b,--seeds) override them; the three \
+            hostile checks run the hostile suite). It passes only if the oracle flags \
+            every run the missing defence should break while every other run stays \
+            clean. $(b,all) selects every check: "
+          ^ String.concat " "
+              (List.map
+                 (fun t -> Printf.sprintf "$(b,%s): %s" t.C.Self_test.name t.C.Self_test.doc)
+                 C.Self_test.all)))
 
 let hostile_term =
   Arg.(
@@ -152,42 +118,17 @@ let hostile_term =
            real TCP ($(b,frame-corruption)), a bit-flipped write-ahead log \
            ($(b,wal-corruption)) and a scribbled-over replica in the simulator \
            ($(b,state-divergence)). Exits zero only if every defense (quarantine, \
-           salvage, divergence self-healing) contained the damage.")
-
-let no_quarantine_term =
-  Arg.(
-    value & flag
-    & info [ "no-quarantine" ]
-        ~doc:
-          "Hostile self-test: raise the quarantine threshold out of reach. \
-           $(b,frame-corruption) must then FAIL (the attacker is never quarantined) while \
-           the other hostile scenarios stay clean. Implies $(b,--hostile).")
-
-let no_salvage_term =
-  Arg.(
-    value & flag
-    & info [ "no-salvage" ]
-        ~doc:
-          "Hostile self-test: recover the WAL with the legacy truncate-at-first-bad-frame \
-           scan. $(b,wal-corruption) must then FAIL (records beyond the damage are lost) \
-           while the other hostile scenarios stay clean. Implies $(b,--hostile).")
-
-let no_heal_term =
-  Arg.(
-    value & flag
-    & info [ "no-heal" ]
-        ~doc:
-          "Hostile self-test: detect state divergence but never self-demote. \
-           $(b,state-divergence) must then FAIL (the replicas stay split) while the other \
-           hostile scenarios stay clean. Implies $(b,--hostile).")
+           salvage, divergence self-healing) contained the damage: the control for the \
+           $(b,no-quarantine), $(b,no-salvage) and $(b,no-heal) self-tests.")
 
 let json_term =
   Arg.(
     value & flag
     & info [ "json" ]
         ~doc:
-          "Emit a machine-readable JSON summary (one object: totals plus one entry per \
-           run) instead of the human table.")
+          "Emit a machine-readable JSON summary instead of the human output: one \
+           object per sweep, hostile suite or self-test, with totals, the self-test's \
+           name (or null) and one entry per run.")
 
 let verbose_term =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every run, not just the table.")
@@ -219,29 +160,39 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let print_json ~mutate ~recover ~exit_code outcomes =
-  let run_json (o : C.Runner.outcome) =
-    let r = o.C.Runner.report in
-    Printf.sprintf
-      "{\"scenario\":\"%s\",\"mode\":\"%s\",\"seed\":%d,\"ok\":%b,\"violations\":%d,\
-       \"deliveries\":%d,\"installs\":%d,\"faults\":%d,\"restarts\":%d,\"parked\":%d,\
-       \"sent\":%d,\"purged\":%d,\"shed\":%d,\"peak_backlog\":%d,\"over_budget\":%s}"
-      (json_escape r.C.Oracle.scenario)
-      (C.Oracle.mode_label r.C.Oracle.mode)
-      r.C.Oracle.seed (C.Oracle.ok r)
-      (List.length r.C.Oracle.violations)
-      r.C.Oracle.deliveries r.C.Oracle.installs o.C.Runner.faults o.C.Runner.restarts
-      o.C.Runner.parked o.C.Runner.sent o.C.Runner.purged o.C.Runner.shed
-      o.C.Runner.peak_backlog
-      (match o.C.Runner.over_budget with
-      | None -> "null"
-      | Some b -> string_of_bool b)
-  in
-  let failed = List.length (C.Runner.failures outcomes) in
-  Printf.printf
-    "{\"runs\":%d,\"failed\":%d,\"mutate\":%b,\"recover\":%b,\"ok\":%b,\"results\":[%s]}\n"
-    (List.length outcomes) failed mutate recover (exit_code = 0)
-    (String.concat "," (List.map run_json outcomes))
+let run_json = function
+  | C.Self_test.Sweep o ->
+      let r = o.C.Runner.report in
+      Printf.sprintf
+        "{\"scenario\":\"%s\",\"mode\":\"%s\",\"seed\":%d,\"ok\":%b,\"violations\":%d,\
+         \"deliveries\":%d,\"installs\":%d,\"faults\":%d,\"restarts\":%d,\"parked\":%d,\
+         \"sent\":%d,\"purged\":%d,\"shed\":%d,\"peak_backlog\":%d,\"over_budget\":%s}"
+        (json_escape r.C.Oracle.scenario)
+        (C.Oracle.mode_label r.C.Oracle.mode)
+        r.C.Oracle.seed (C.Oracle.ok r)
+        (List.length r.C.Oracle.violations)
+        r.C.Oracle.deliveries r.C.Oracle.installs o.C.Runner.faults o.C.Runner.restarts
+        o.C.Runner.parked o.C.Runner.sent o.C.Runner.purged o.C.Runner.shed
+        o.C.Runner.peak_backlog
+        (match o.C.Runner.over_budget with
+        | None -> "null"
+        | Some b -> string_of_bool b)
+  | C.Self_test.Hostile r ->
+      Printf.sprintf "{\"scenario\":\"%s\",\"ok\":%b,\"failed_checks\":[%s]}"
+        (json_escape r.C.Hostile.scenario) (C.Hostile.ok r)
+        (String.concat ","
+           (List.filter_map
+              (fun (c : C.Hostile.check) ->
+                if c.ok then None else Some ("\"" ^ json_escape c.name ^ "\""))
+              r.C.Hostile.checks))
+
+let print_json ~self_test ~ok runs =
+  let failed = List.length (List.filter C.Self_test.flagged runs) in
+  Printf.printf "{\"runs\":%d,\"failed\":%d,\"self_test\":%s,\"ok\":%b,\"results\":[%s]}\n"
+    (List.length runs) failed
+    (match self_test with None -> "null" | Some name -> "\"" ^ name ^ "\"")
+    ok
+    (String.concat "," (List.map run_json runs))
 
 (* Write each failing run's flight-recorder ring as one JSONL file; the
    name replays the run: scenario, mode, seed. *)
@@ -272,248 +223,115 @@ let dump_flights ~dir outcomes =
       failing
   end
 
-(* The hostile suite with inverted acceptance: with every defense on,
-   all three scenarios must be contained; with a defense disabled via
-   its --no-* flag, that scenario (and only that one) must come back
-   flagged — proving the harness checks actually bite. *)
-let run_hostile ~no_quarantine ~no_salvage ~no_heal =
-  let invert = function
-    | "frame-corruption" -> no_quarantine
-    | "wal-corruption" -> no_salvage
-    | "state-divergence" -> no_heal
-    | _ -> false
-  in
-  let reports =
-    List.map
-      (fun name ->
-        let r = C.Hostile.run ~name ~invert:(invert name) in
-        Format.fprintf ppf "%a@." C.Hostile.pp_report r;
-        (name, invert name, r))
-      C.Hostile.names
-  in
-  let wrong =
-    List.filter
-      (fun (_, inverted, r) -> if inverted then C.Hostile.ok r else not (C.Hostile.ok r))
-      reports
-  in
-  let self_test = List.exists (fun (_, inverted, _) -> inverted) reports in
-  if wrong = [] then begin
-    if self_test then
-      Format.fprintf ppf
-        "hostile self-test passed: disabled defense(s) flagged, the rest contained@."
-    else
-      Format.fprintf ppf "all %d hostile scenarios contained@." (List.length reports);
-    0
-  end
-  else begin
-    List.iter
-      (fun (name, inverted, _) ->
-        if inverted then
-          Format.fprintf ppf
-            "HOSTILE SELF-TEST FAILED: %s passed with its defense disabled@." name
-        else Format.fprintf ppf "hostile scenario %s was NOT contained@." name)
-      wrong;
-    1
-  end
+let sweep_outcomes =
+  List.filter_map (function C.Self_test.Sweep o -> Some o | C.Self_test.Hostile _ -> None)
 
-let run scenarios modes seeds seed_base nodes horizon settle trace flight_dir mutate
-    mutate_split_brain no_merge no_recovery no_shed hostile no_quarantine no_salvage
-    no_heal json verbose plan =
+let pp_run ppf = function
+  | C.Self_test.Sweep o ->
+      let r = o.C.Runner.report in
+      Format.fprintf ppf "scenario=%s mode=%s seed=%d" r.C.Oracle.scenario
+        (C.Oracle.mode_label r.C.Oracle.mode)
+        r.C.Oracle.seed
+  | C.Self_test.Hostile r -> Format.fprintf ppf "hostile scenario %s" r.C.Hostile.scenario
+
+(* Why a run that had to stay clean did not. *)
+let pp_unclean ppf = function
+  | C.Self_test.Sweep o when not (C.Oracle.ok o.C.Runner.report) ->
+      C.Oracle.pp_report ppf o.C.Runner.report
+  | C.Self_test.Sweep o as run ->
+      Format.fprintf ppf "OVER BUDGET: %a peak_backlog=%d shed=%d" pp_run run
+        o.C.Runner.peak_backlog o.C.Runner.shed
+  | C.Self_test.Hostile _ as run -> Format.fprintf ppf "%a was NOT contained" pp_run run
+
+let run scenarios modes seeds seed_base nodes horizon settle trace flight_dir self_tests
+    hostile json verbose plan =
   match plan with
   | Some scenario ->
       print_plan scenario ~seed:seed_base ~nodes ~horizon;
       0
-  | None when hostile || no_quarantine || no_salvage || no_heal ->
-      run_hostile ~no_quarantine ~no_salvage ~no_heal
   | None ->
-      let config =
-        {
-          C.Runner.default_config with
-          nodes;
-          horizon;
-          settle;
-          recover = not no_recovery;
-          merge = not no_merge;
-          shed = not no_shed;
-        }
+      let self_tests =
+        List.filter
+          (fun t -> List.mem "all" self_tests || List.mem t.C.Self_test.name self_tests)
+          C.Self_test.all
       in
-      let seed_list = List.init seeds (fun i -> seed_base + i) in
-      let mutation =
-        if mutate then Some C.Oracle.Drop_cover
-        else if mutate_split_brain then Some C.Oracle.Split_brain
-        else None
-      in
+      let config = { C.Runner.default_config with nodes; horizon; settle } in
+      let seeds = List.init seeds (fun i -> seed_base + i) in
       let oc = Option.map open_out trace in
       let tracer =
         match oc with
         | None -> Trace.nop
         | Some oc -> Trace.jsonl oc
       in
-      let outcomes =
-        List.concat_map
-          (fun scenario ->
-            List.concat_map
-              (fun mode ->
-                List.map
-                  (fun seed ->
-                    let o =
-                      try C.Runner.run_one ?mutation ~tracer ~config ~mode ~scenario ~seed ()
-                      with Failure msg ->
-                        Format.fprintf ppf "seed=%d scenario=%s mode=%s: %s@." seed
-                          scenario.C.Scenario.name (C.Oracle.mode_label mode) msg;
-                        exit 2
-                    in
-                    if verbose && not json then
-                      Format.fprintf ppf
-                        "%a  (faults=%d restarts=%d sent=%d purged=%d shed=%d \
-                         peak_backlog=%d)@."
-                        C.Oracle.pp_report o.C.Runner.report o.C.Runner.faults
-                        o.C.Runner.restarts o.C.Runner.sent o.C.Runner.purged
-                        o.C.Runner.shed o.C.Runner.peak_backlog;
-                    o)
-                  seed_list)
-              modes)
-          scenarios
+      let say fmt = Format.(if json then ifprintf ppf fmt else fprintf ppf fmt) in
+      let on_run = function
+        | C.Self_test.Sweep o ->
+            if verbose then
+              say "%a  (faults=%d restarts=%d sent=%d purged=%d shed=%d peak_backlog=%d)@."
+                C.Oracle.pp_report o.C.Runner.report o.C.Runner.faults o.C.Runner.restarts
+                o.C.Runner.sent o.C.Runner.purged o.C.Runner.shed o.C.Runner.peak_backlog
+        | C.Self_test.Hostile r -> say "%a@." C.Hostile.pp_report r
+      in
+      (* Report one batch of runs under its verdict; returns its exit code. *)
+      let finish ~self_test ~ok ~summary runs =
+        dump_flights ~dir:flight_dir (sweep_outcomes runs);
+        (match sweep_outcomes runs with
+        | [] -> ()
+        | outcomes -> say "%a@." (fun ppf () -> C.Runner.pp_table ppf outcomes) ());
+        summary ();
+        if json then print_json ~self_test ~ok runs;
+        if ok then 0 else 1
+      in
+      (* Defences on: every run must be clean. *)
+      let control ~what runs =
+        let unclean = List.filter (fun r -> not (C.Self_test.clean r)) runs in
+        finish ~self_test:None ~ok:(unclean = []) runs ~summary:(fun () ->
+            if unclean = [] then say "all %d %s@." (List.length runs) what
+            else List.iter (say "%a@." pp_unclean) unclean)
+      in
+      let self_test (t : C.Self_test.t) =
+        let runs = C.Self_test.run ~tracer ~on_run ?scenarios ?modes ~config ~seeds t in
+        let v = C.Self_test.judge t runs in
+        let ok = C.Self_test.passed v in
+        finish ~self_test:(Some t.name) ~ok runs ~summary:(fun () ->
+            if ok then
+              say "self-test %s passed: all %d eligible run(s) caught, %d other run(s) clean@."
+                t.name v.eligible
+                (List.length runs - v.eligible)
+            else begin
+              say "SELF-TEST %s FAILED: %d eligible run(s), %d missed, %d other run(s) not \
+                   clean@."
+                t.name v.eligible (List.length v.missed) (List.length v.unclean);
+              List.iter (say "missed: %a@." pp_run) v.missed;
+              List.iter (say "%a@." pp_unclean) v.unclean
+            end)
+      in
+      let code =
+        try
+          if self_tests = [] && not hostile then
+            control ~what:"runs satisfied the SVS safety contracts"
+              (List.map
+                 (fun o -> C.Self_test.Sweep o)
+                 (C.Runner.sweep ~tracer ~config
+                    ~on_run:(fun o -> on_run (C.Self_test.Sweep o))
+                    ~modes:(Option.value modes ~default:[ C.Oracle.Vs; C.Oracle.Svs ])
+                    ~scenarios:(Option.value scenarios ~default:C.Scenario.faulty)
+                    ~seeds ()))
+          else begin
+            let codes = List.map self_test self_tests in
+            if hostile then
+              control ~what:"hostile scenarios contained"
+                (C.Self_test.hostile_suite ~on_run ())
+              :: codes
+            else codes
+          end
+          |> List.fold_left max 0
+        with Failure msg ->
+          Format.fprintf ppf "%s@." msg;
+          2
       in
       Option.iter close_out oc;
-      dump_flights ~dir:flight_dir outcomes;
-      let failed = C.Runner.failures outcomes in
-      let say fmt =
-        Format.(if json then ifprintf ppf fmt else fprintf ppf fmt)
-      in
-      say "%a@." (fun ppf () -> C.Runner.pp_table ppf outcomes) ();
-      let exit_code =
-        if mutation <> None then begin
-          (* Inverted acceptance: every mutated run must be caught. *)
-          let missed = List.length outcomes - List.length failed in
-          if missed = 0 then begin
-            say "mutation self-test passed: oracle caught all %d mutated runs@."
-              (List.length outcomes);
-            0
-          end
-          else begin
-            say "MUTATION SELF-TEST FAILED: %d mutated run(s) slipped past the oracle@."
-              missed;
-            1
-          end
-        end
-        else if no_merge then begin
-          (* Inverted acceptance: every scenario that expects
-             re-convergence must fail once parked members never merge,
-             and merge-free runs must still be clean. *)
-          let reconverge o =
-            match C.Scenario.find o.C.Runner.report.C.Oracle.scenario with
-            | Some sc -> sc.C.Scenario.expect_reconverge
-            | None -> false
-          in
-          let eligible = List.filter reconverge outcomes in
-          let uncaught = List.filter (fun o -> C.Oracle.ok o.C.Runner.report) eligible in
-          let broken_clean = List.filter (fun o -> not (reconverge o)) failed in
-          if eligible = [] then begin
-            say "NO-MERGE SELF-TEST FAILED: no run expected re-convergence@.";
-            1
-          end
-          else if uncaught = [] && broken_clean = [] then begin
-            say
-              "no-merge self-test passed: oracle flagged all %d merge-less heals@."
-              (List.length eligible);
-            0
-          end
-          else begin
-            say
-              "NO-MERGE SELF-TEST FAILED: %d merge-less heal(s) slipped past the oracle, \
-               %d merge-free run(s) failed@."
-              (List.length uncaught) (List.length broken_clean);
-            1
-          end
-        end
-        else if no_recovery then begin
-          (* Inverted acceptance: every run that really restarted a
-             member amnesiac must be flagged, and runs without a
-             restart must still be clean. *)
-          let restarted = List.filter (fun o -> o.C.Runner.restarts > 0) outcomes in
-          let uncaught = List.filter (fun o -> C.Oracle.ok o.C.Runner.report) restarted in
-          let broken_clean =
-            List.filter (fun o -> o.C.Runner.restarts = 0) failed
-          in
-          if restarted = [] then begin
-            say "NO-RECOVERY SELF-TEST FAILED: no run actually restarted a member@.";
-            1
-          end
-          else if uncaught = [] && broken_clean = [] then begin
-            say
-              "no-recovery self-test passed: oracle flagged all %d amnesiac restarts@."
-              (List.length restarted);
-            0
-          end
-          else begin
-            say
-              "NO-RECOVERY SELF-TEST FAILED: %d amnesiac restart(s) slipped past the \
-               oracle, %d restart-free run(s) failed@."
-              (List.length uncaught) (List.length broken_clean);
-            1
-          end
-        end
-        else if no_shed then begin
-          (* Inverted acceptance: with shedding disabled, every
-             budgeted run must blow its backlog budget (proving the
-             budget verdict measures shedding) while the safety oracle
-             still passes everywhere — shedding off is just plain
-             VS/SVS. *)
-          let budgeted =
-            List.filter (fun o -> o.C.Runner.over_budget <> None) outcomes
-          in
-          let under =
-            List.filter (fun o -> o.C.Runner.over_budget = Some false) budgeted
-          in
-          if budgeted = [] then begin
-            say "NO-SHED SELF-TEST FAILED: no run carried a backlog budget@.";
-            1
-          end
-          else if under = [] && failed = [] then begin
-            say
-              "no-shed self-test passed: all %d budgeted runs exceeded their backlog \
-               budget, safety intact@."
-              (List.length budgeted);
-            0
-          end
-          else begin
-            say
-              "NO-SHED SELF-TEST FAILED: %d budgeted run(s) stayed under budget without \
-               shedding, %d run(s) violated safety@."
-              (List.length under) (List.length failed);
-            say "%a" (fun ppf () -> C.Runner.pp_failures ppf outcomes) ();
-            1
-          end
-        end
-        else begin
-          (* Budget verdicts count: a run whose backlog blew its
-             scenario budget fails the sweep even if safety held. *)
-          let blown =
-            List.filter (fun o -> o.C.Runner.over_budget = Some true) outcomes
-          in
-          if failed = [] && blown = [] then begin
-            say "all %d runs satisfied the SVS safety contracts@." (List.length outcomes);
-            0
-          end
-          else begin
-            List.iter
-              (fun (o : C.Runner.outcome) ->
-                let r = o.C.Runner.report in
-                say
-                  "OVER BUDGET: scenario=%s mode=%s seed=%d peak_backlog=%d shed=%d@."
-                  r.C.Oracle.scenario
-                  (C.Oracle.mode_label r.C.Oracle.mode)
-                  r.C.Oracle.seed o.C.Runner.peak_backlog o.C.Runner.shed)
-              blown;
-            say "%a" (fun ppf () -> C.Runner.pp_failures ppf outcomes) ();
-            1
-          end
-        end
-      in
-      if json then
-        print_json ~mutate:(mutation <> None) ~recover:(not no_recovery) ~exit_code outcomes;
-      exit_code
+      code
 
 let main =
   let doc = "Deterministic chaos sweeps checked by the SVS safety oracle" in
@@ -521,9 +339,7 @@ let main =
   Cmd.v info
     Term.(
       const run $ scenarios_term $ modes_term $ seeds_term $ seed_base_term $ nodes_term
-      $ horizon_term $ settle_term $ trace_term $ flight_term $ mutate_term
-      $ mutate_split_brain_term $ no_merge_term $ no_recovery_term $ no_shed_term
-      $ hostile_term $ no_quarantine_term $ no_salvage_term $ no_heal_term $ json_term
-      $ verbose_term $ plan_term)
+      $ horizon_term $ settle_term $ trace_term $ flight_term $ self_test_term
+      $ hostile_term $ json_term $ verbose_term $ plan_term)
 
 let () = exit (Cmd.eval' main)

@@ -39,14 +39,14 @@ let pair_conv =
 
 let mutation_conv =
   let parse s =
-    match Explorer.mutation_of_label s with
+    match Oracle.mutation_of_label s with
     | Some m -> Ok m
     | None ->
         Error
           (`Msg
             (Printf.sprintf "unknown mutation %S (drop-cover|dup-restart|split-brain)" s))
   in
-  Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Explorer.mutation_label m))
+  Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Oracle.mutation_label m))
 
 (* Presets: named bounded configurations sized for CI. *)
 
@@ -220,7 +220,7 @@ let print_json ~outcome_label ~exit_code ~reduce ~mutation cfg
     cfg.Model.max_depth;
   Printf.bprintf b "\"reduce\": %b, " reduce;
   Printf.bprintf b "\"mutation\": %S, "
-    (match mutation with Some m -> Explorer.mutation_label m | None -> "none");
+    (match mutation with Some m -> Oracle.mutation_label m | None -> "none");
   Printf.bprintf b
     "\"states\": %d, \"transitions\": %d, \"interleavings\": %d, \
      \"visited_hits\": %d, \"sleep_skips\": %d, \"depth_cutoffs\": %d, \
@@ -247,7 +247,7 @@ let run_replay file json =
   | Ok (cfg, mutation, trace) -> (
       say "replaying %d transition(s) from %s (%s)@." (List.length trace) file
         (match mutation with
-        | Some m -> "mutation " ^ Explorer.mutation_label m
+        | Some m -> "mutation " ^ Oracle.mutation_label m
         | None -> "no mutation");
       match Explorer.replay ?mutation cfg trace with
       | Explorer.Reproduced violations ->
@@ -324,7 +324,7 @@ let run nodes multicasts crashes restarts probes partitions heal mode no_chain s
         (if reduce then "" else ", reduction OFF")
         (if dedup then "" else ", dedup OFF")
         (match mutate with
-        | Some m -> Printf.sprintf ", mutation %s" (Explorer.mutation_label m)
+        | Some m -> Printf.sprintf ", mutation %s" (Oracle.mutation_label m)
         | None -> "");
       let { Explorer.outcome; stats } =
         Explorer.explore ~reduce ~dedup ~max_states ?mutation:mutate
@@ -345,7 +345,7 @@ let run nodes multicasts crashes restarts probes partitions heal mode no_chain s
                 say
                   "SELF-TEST FAILED: explored everything but never caught \
                    mutation %s@."
-                  (Explorer.mutation_label m);
+                  (Oracle.mutation_label m);
                 ("mutation-missed", 1)
             | None ->
                 say "exhausted: every interleaving satisfies the contracts@.";
@@ -374,7 +374,7 @@ let run nodes multicasts crashes restarts probes partitions heal mode no_chain s
             match mutate with
             | Some m ->
                 say "self-test passed: mutation %s caught@."
-                  (Explorer.mutation_label m);
+                  (Oracle.mutation_label m);
                 ("mutation-caught", 0)
             | None ->
                 say "VIOLATION found@.";

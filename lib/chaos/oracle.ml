@@ -1,7 +1,6 @@
 module Checker = Svs_core.Checker
 module View = Svs_core.View
 module Msg_id = Svs_obs.Msg_id
-module Annotation = Svs_obs.Annotation
 
 type mode = Vs | Svs
 
@@ -10,6 +9,17 @@ let mode_label = function Vs -> "vs" | Svs -> "svs"
 let mode_of_label = function "vs" -> Some Vs | "svs" -> Some Svs | _ -> None
 
 type mutation = Drop_cover | Duplicate_after_restart | Split_brain
+
+let mutation_label = function
+  | Drop_cover -> "drop-cover"
+  | Duplicate_after_restart -> "dup-restart"
+  | Split_brain -> "split-brain"
+
+let mutation_of_label = function
+  | "drop-cover" -> Some Drop_cover
+  | "dup-restart" -> Some Duplicate_after_restart
+  | "split-brain" -> Some Split_brain
+  | _ -> None
 
 type report = {
   mode : mode;
@@ -36,122 +46,64 @@ let view_pair = function
 
 (* --- Mutation: pick a delivery whose removal must break safety. --- *)
 
-(* Per-process view segments, mirroring the checker's segmentation. *)
-let segments log =
-  let rec go cur acc = function
-    | [] -> List.rev (match cur with None -> acc | Some s -> s :: acc)
-    | Checker.Installed v :: rest ->
-        go (Some (v, [])) (match cur with None -> acc | Some s -> s :: acc) rest
-    | Checker.Delivered m :: rest -> (
-        match cur with
-        | None -> go None acc rest (* ignore pre-install noise; checker would reject *)
-        | Some (v, ds) -> go (Some (v, m :: ds)) acc rest)
-  in
-  List.map (fun (v, ds) -> (v, List.rev ds)) (go None [] log)
-
-(* Reachability in the transitive closure of the encoded relation:
-   does some delivered message other than [m] itself cover [m]? *)
-let covered_excluding ~successors ~except (id : Msg_id.t) targets =
-  let visited = Hashtbl.create 16 in
-  let rec bfs = function
-    | [] -> false
-    | x :: rest ->
-        if Hashtbl.mem visited x then bfs rest
-        else begin
-          Hashtbl.replace visited x ();
-          if (not (Msg_id.equal x except)) && Msg_id.Set.mem x targets then true
-          else bfs (successors x @ rest)
-        end
-  in
-  bfs [ id ]
-
-let build_successors multicasts =
-  let succ : (Msg_id.t, Msg_id.t list) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (older : Checker.meta) ->
-      List.iter
-        (fun (newer : Checker.meta) ->
-          if
-            (not (Msg_id.equal older.id newer.id))
-            && Annotation.obsoletes ~older:(older.id, older.ann) ~newer:(newer.id, newer.ann)
-          then
-            Hashtbl.replace succ older.id
-              (newer.id :: Option.value ~default:[] (Hashtbl.find_opt succ older.id)))
-        multicasts)
-    multicasts;
-  fun id -> Option.value ~default:[] (Hashtbl.find_opt succ id)
-
 (* A candidate is (q, m): q delivered m in a segment followed by
    another install, some other process p delivered m and installed the
    same view pair, and nothing else q delivered before that next
    install covers m. Removing m from q's log then necessarily opens an
    SVS hole (and, with an empty relation, a strict-VS mismatch). *)
 let find_droppable check =
-  let successors = build_successors (Checker.multicast_log check) in
+  let successors = Checker.build_successors check in
   let procs = Checker.processes check in
-  let segs = List.map (fun p -> (p, segments (Checker.process_log check ~p))) procs in
-  let installed_pair q vi vj =
-    match List.assoc_opt q segs with
-    | None -> false
-    | Some ss ->
-        List.exists (fun (v, _) -> v.View.id = vi) ss
-        && List.exists (fun (v, _) -> v.View.id = vj) ss
-  in
+  let segs = List.map (fun p -> (p, Checker.segments check ~p)) procs in
+  let in_view id (s : Checker.segment) = s.view.View.id = id in
   let delivered_pair p vi vj (m : Checker.meta) =
-    match List.assoc_opt p segs with
-    | None -> false
-    | Some ss ->
-        installed_pair p vi vj
-        && List.exists
-             (fun (v, ds) ->
-               v.View.id = vi
-               && List.exists (fun (d : Checker.meta) -> Msg_id.equal d.id m.id) ds)
-             ss
+    let ss = List.assoc p segs in
+    List.exists (in_view vj) ss
+    && List.exists
+         (fun (s : Checker.segment) ->
+           in_view vi s
+           && List.exists (fun (d : Checker.meta) -> Msg_id.equal d.id m.id) s.deliveries)
+         ss
   in
-  let candidate =
-    List.find_map
-      (fun (q, qsegs) ->
-        let rec pairs = function
-          (* Only genuinely consecutive view ids form a checked pair —
-             mirror the checker, which skips the view-id gap a
-             crash–rejoin leaves in a process's log. *)
-          | (vi, _) :: ((vj, _) :: _ as rest)
-            when vj.View.id <> vi.View.id + 1 ->
-              pairs rest
-          | (vi, ds) :: ((vj, _) :: _ as rest) -> (
-              let before_next =
-                List.fold_left
-                  (fun acc (v, ds) ->
-                    if v.View.id < vj.View.id then
-                      List.fold_left
-                        (fun acc (d : Checker.meta) -> Msg_id.Set.add d.id acc)
-                        acc ds
-                    else acc)
-                  Msg_id.Set.empty qsegs
-              in
-              let found =
-                List.find_map
-                  (fun (m : Checker.meta) ->
-                    let witnessed =
-                      List.exists
-                        (fun p -> p <> q && delivered_pair p vi.View.id vj.View.id m)
-                        procs
-                    in
-                    if
-                      witnessed
-                      && not
-                           (covered_excluding ~successors ~except:m.id m.id before_next)
-                    then Some (q, m.id)
-                    else None)
-                  ds
-              in
-              match found with Some _ as r -> r | None -> pairs rest)
-          | [ _ ] | [] -> None
-        in
-        pairs qsegs)
-      segs
-  in
-  candidate
+  List.find_map
+    (fun (q, qsegs) ->
+      let rec pairs = function
+        (* Only genuinely consecutive view ids form a checked pair —
+           mirror the checker, which skips the view-id gap a
+           crash–rejoin leaves in a process's log. *)
+        | (si : Checker.segment) :: ((sj : Checker.segment) :: _ as rest)
+          when sj.view.View.id <> si.view.View.id + 1 ->
+            pairs rest
+        | (si : Checker.segment) :: ((sj : Checker.segment) :: _ as rest) -> (
+            let vi = si.view.View.id and vj = sj.view.View.id in
+            let before_next =
+              List.fold_left
+                (fun acc (s : Checker.segment) ->
+                  if s.view.View.id < vj then
+                    List.fold_left
+                      (fun acc (d : Checker.meta) -> Msg_id.Set.add d.id acc)
+                      acc s.deliveries
+                  else acc)
+                Msg_id.Set.empty qsegs
+            in
+            let found =
+              List.find_map
+                (fun (m : Checker.meta) ->
+                  let witnessed =
+                    List.exists (fun p -> p <> q && delivered_pair p vi vj m) procs
+                  in
+                  if
+                    witnessed
+                    && not (Checker.covered ~except:m.id successors m.id before_next)
+                  then Some (q, m.id)
+                  else None)
+                si.deliveries
+            in
+            match found with Some _ as r -> r | None -> pairs rest)
+        | [ _ ] | [] -> None
+      in
+      pairs qsegs)
+    segs
 
 (* A candidate for the recovery mutation: a process whose log has an
    incarnation boundary (view-id gap between consecutive installs) and
@@ -160,56 +112,57 @@ let find_droppable check =
 let find_restart_dup check =
   List.find_map
     (fun q ->
-      let segs = segments (Checker.process_log check ~p:q) in
       let rec scan last_delivered = function
-        | (vi, ds) :: (((vj, _) :: _) as rest) -> (
+        | (si : Checker.segment) :: ((sj : Checker.segment) :: _ as rest) -> (
             let last_delivered =
-              match List.rev ds with d :: _ -> Some d | [] -> last_delivered
+              match List.rev si.deliveries with d :: _ -> Some d | [] -> last_delivered
             in
             match last_delivered with
-            | Some (m : Checker.meta) when vj.View.id > vi.View.id + 1 ->
-                Some (q, m, vj.View.id)
+            | Some (m : Checker.meta) when sj.view.View.id > si.view.View.id + 1 ->
+                Some (q, m, sj.view.View.id)
             | _ -> scan last_delivered rest)
         | [ _ ] | [] -> None
       in
-      scan None segs)
+      scan None (Checker.segments check ~p:q))
     (Checker.processes check)
 
-(* Replay the recorded run with [m] re-delivered by [q] right after it
-   installs the view [after_view] — an amnesiac restart re-delivering
-   a message its lost log had already delivered. *)
-let replay_with_duplicate check ~q ~(m : Checker.meta) ~after_view =
+(* Re-record the run into a fresh checker, each process's log passed
+   through [edit p]. *)
+let replay check edit =
   let mutated = Checker.create () in
   List.iter (Checker.record_multicast mutated) (Checker.multicast_log check);
   List.iter
     (fun p ->
-      List.iter
-        (function
-          | Checker.Installed v ->
-              Checker.record_install mutated ~p v;
-              if p = q && v.View.id = after_view then Checker.record_delivery mutated ~p m
-          | Checker.Delivered d -> Checker.record_delivery mutated ~p d)
-        (Checker.process_log check ~p))
-    (Checker.processes check);
-  mutated
-
-(* Replay the recorded run into a fresh checker, skipping [q]'s first
-   delivery of [id]. *)
-let replay_without check ~q ~id =
-  let mutated = Checker.create () in
-  List.iter (Checker.record_multicast mutated) (Checker.multicast_log check);
-  List.iter
-    (fun p ->
-      let skipped = ref false in
       List.iter
         (function
           | Checker.Installed v -> Checker.record_install mutated ~p v
-          | Checker.Delivered (m : Checker.meta) ->
-              if p = q && (not !skipped) && Msg_id.equal m.id id then skipped := true
-              else Checker.record_delivery mutated ~p m)
-        (Checker.process_log check ~p))
+          | Checker.Delivered m -> Checker.record_delivery mutated ~p m)
+        (edit p (Checker.process_log check ~p)))
     (Checker.processes check);
   mutated
+
+(* [q] re-delivers [m] right after it installs the view [after_view] —
+   an amnesiac restart re-delivering a message its lost log had already
+   delivered. *)
+let replay_with_duplicate check ~q ~(m : Checker.meta) ~after_view =
+  replay check (fun p log ->
+      if p <> q then log
+      else
+        List.concat_map
+          (function
+            | Checker.Installed v as e when v.View.id = after_view ->
+                [ e; Checker.Delivered m ]
+            | e -> [ e ])
+          log)
+
+(* [q]'s first delivery of [id] never happened. *)
+let replay_without check ~q ~id =
+  let rec drop_first = function
+    | Checker.Delivered (m : Checker.meta) :: rest when Msg_id.equal m.id id -> rest
+    | e :: rest -> e :: drop_first rest
+    | [] -> []
+  in
+  replay check (fun p log -> if p = q then drop_first log else log)
 
 (* Forge a secondary primary component: replay the run with one
    process recording the install of a view (id one past the global
@@ -277,25 +230,15 @@ let find_split_brain_target check =
           | _ -> None))
 
 let replay_with_split_brain check ~target ~max_id ~cut =
-  let mutated = Checker.create () in
-  List.iter (Checker.record_multicast mutated) (Checker.multicast_log check);
-  List.iter
-    (fun p ->
-      let log = Checker.process_log check ~p in
-      let log =
-        match cut with
-        | `Truncate idx when p = target -> List.filteri (fun i _ -> i < idx) log
-        | _ -> log
-      in
-      List.iter
-        (function
-          | Checker.Installed v -> Checker.record_install mutated ~p v
-          | Checker.Delivered m -> Checker.record_delivery mutated ~p m)
-        log;
-      if p = target then
-        Checker.record_install mutated ~p (View.make ~id:(max_id + 1) ~members:[ p ]))
-    (Checker.processes check);
-  mutated
+  replay check (fun p log ->
+      if p <> target then log
+      else
+        let log =
+          match cut with
+          | `Truncate idx -> List.filteri (fun i _ -> i < idx) log
+          | `Append -> log
+        in
+        log @ [ Checker.Installed (View.make ~id:(max_id + 1) ~members:[ p ]) ])
 
 let counts check =
   List.fold_left

@@ -60,6 +60,13 @@ type mutation =
           field the message id stands in for [(process, forged view
           id)]. *)
 
+val mutation_label : mutation -> string
+(** ["drop-cover"], ["dup-restart"], ["split-brain"]: the names
+    [svs_mc --mutate], its trace files and [svs_chaos --self-test]
+    use. *)
+
+val mutation_of_label : string -> mutation option
+
 type report = {
   mode : mode;
   seed : int;

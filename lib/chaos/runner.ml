@@ -18,7 +18,7 @@ type config = {
   merge : bool;
   shed : bool;
       (* Honor the scenario's shed_limit (default). false runs the
-         same plans with shedding disabled — the inverted --no-shed
+         same plans with shedding disabled — the inverted no-shed
          self-check, which must blow the overload budget. *)
 }
 
@@ -148,7 +148,7 @@ let run_one ?mutation ?(tracer = Trace.nop) ?(config = default_config) ~mode ~sc
         (Engine.schedule_at engine ~time:(frac *. config.horizon) attempt : Engine.handle))
     config.reconfigure;
   (* Peak paused-inbox data backlog, sampled between sends: the
-     quantity the overload budget bounds (and --no-shed must blow). *)
+     quantity the overload budget bounds (and no-shed must blow). *)
   let peak_backlog = ref 0 in
   ignore
     (Engine.every engine ~start:(config.send_period /. 2.0) ~period:(config.send_period /. 2.0)
@@ -198,12 +198,23 @@ let run_one ?mutation ?(tracer = Trace.nop) ?(config = default_config) ~mode ~sc
     flight = (if Oracle.ok report then [] else Trace.records flight_ring);
   }
 
-let sweep ?mutation ?config ~modes ~scenarios ~seeds () =
+let sweep ?mutation ?tracer ?config ?(on_run = ignore) ~modes ~scenarios ~seeds () =
   List.concat_map
     (fun scenario ->
       List.concat_map
         (fun mode ->
-          List.map (fun seed -> run_one ?mutation ?config ~mode ~scenario ~seed ()) seeds)
+          List.map
+            (fun seed ->
+              let o =
+                try run_one ?mutation ?tracer ?config ~mode ~scenario ~seed ()
+                with Failure msg ->
+                  failwith
+                    (Printf.sprintf "seed=%d scenario=%s mode=%s: %s" seed
+                       scenario.Scenario.name (Oracle.mode_label mode) msg)
+              in
+              on_run o;
+              o)
+            seeds)
         modes)
     scenarios
 
@@ -267,8 +278,3 @@ let pp_table ppf outcomes =
   line (List.map (fun w -> String.make w '-') widths);
   List.iter line rows;
   Format.fprintf ppf "@]"
-
-let pp_failures ppf outcomes =
-  List.iter
-    (fun o -> Format.fprintf ppf "%a@." Oracle.pp_report o.report)
-    (failures outcomes)

@@ -35,7 +35,7 @@ type config = {
   shed : bool;
       (** Whether to honor the scenario's [shed_limit] (default). With
           [false] the same plans run with semantic shedding disabled —
-          the inverted [--no-shed] self-check: overload scenarios with
+          the inverted [no-shed] self-test: overload scenarios with
           a [backlog_budget] must then exceed it. *)
 }
 
@@ -86,19 +86,18 @@ val run_one :
 
 val sweep :
   ?mutation:Oracle.mutation ->
+  ?tracer:Svs_telemetry.Trace.t ->
   ?config:config ->
+  ?on_run:(outcome -> unit) ->
   modes:Oracle.mode list ->
   scenarios:Scenario.t list ->
   seeds:int list ->
   unit ->
   outcome list
-(** The full grid, in [scenario * mode * seed] order. *)
-
-val failures : outcome list -> outcome list
+(** The full grid, in [scenario * mode * seed] order, each outcome
+    also handed to [on_run] as it completes. @raise Failure naming the
+    run's seed, scenario and mode when {!run_one} fails. *)
 
 val pp_table : Format.formatter -> outcome list -> unit
 (** One row per [scenario * mode]: seeds run, pass/fail, faults,
     messages, deliveries, purged. *)
-
-val pp_failures : Format.formatter -> outcome list -> unit
-(** Every failing {!Oracle.report} in full, one block per seed. *)

@@ -29,7 +29,7 @@ type t = {
   backlog_budget : int option;
       (* Overload acceptance: the peak paused-inbox data backlog (any
          node) a run is allowed with shedding on — and must EXCEED
-         with shedding off, the inverted --no-shed self-check. *)
+         with shedding off, the inverted no-shed self-test. *)
 }
 
 let action_kind = function
@@ -306,7 +306,7 @@ let flapping_split =
    survival test. With shedding on ([shed_limit]), the victim's
    backlog must stay under [backlog_budget] (newer annotated messages
    purge the obsolete tail of the queue) while the healthy members
-   keep delivering; with shedding off (--no-shed) the same plan must
+   keep delivering; with shedding off (self-test no-shed) the same plan must
    blow through the budget — the inverted self-check proving the
    budget verdict measures shedding, not a gentle workload. The pause
    window is only lightly jittered so the offered load, and hence the
@@ -410,5 +410,7 @@ let all =
     overload_mayhem;
     mayhem;
   ]
+
+let faulty = List.filter (fun s -> s != calm) all
 
 let find name = List.find_opt (fun s -> s.name = name) all

@@ -83,7 +83,7 @@ type t = {
       (** Overload acceptance bound: the peak paused-inbox data
           backlog (over all nodes, sampled by the runner) a run may
           reach with shedding on — and must {e exceed} with shedding
-          off, which is the inverted [--no-shed] self-check. [None]:
+          off, which is the inverted [no-shed] self-test. [None]:
           no budget verdict. *)
 }
 
@@ -152,7 +152,7 @@ val overload : t
     run while every member keeps publishing. Runs with semantic
     shedding on ([shed_limit]) and a [backlog_budget] the victim's
     data backlog must stay under — and must blow through when the
-    runner disables shedding ([--no-shed]), proving the verdict
+    runner disables shedding (self-test [no-shed]), proving the verdict
     measures shedding. *)
 
 val overload_mayhem : t
@@ -166,6 +166,9 @@ val mayhem : t
 
 val all : t list
 (** Every built-in scenario, [calm] first. *)
+
+val faulty : t list
+(** Every built-in except [calm]: the default sweep. *)
 
 val find : string -> t option
 (** Look up a built-in by name ([crash], [partition-heal], ...). *)

@@ -102,9 +102,13 @@ let build_successors t =
     all;
   fun id -> match Hashtbl.find_opt succ id with Some l -> !l | None -> []
 
-(* [covered successors m targets]: does some m' with m ⊑* m' belong to
-   [targets]? BFS over the closure. *)
-let covered successors (id : Msg_id.t) targets =
+(* [covered successors m targets]: does some m' with m ⊑* m' (other
+   than [except]) belong to [targets]? BFS over the closure. *)
+let covered ?except successors (id : Msg_id.t) targets =
+  let counts x =
+    Msg_id.Set.mem x targets
+    && match except with Some e -> not (Msg_id.equal x e) | None -> true
+  in
   let visited = Hashtbl.create 16 in
   let rec bfs = function
     | [] -> false
@@ -112,7 +116,7 @@ let covered successors (id : Msg_id.t) targets =
         if Hashtbl.mem visited x then bfs rest
         else begin
           Hashtbl.replace visited x ();
-          if Msg_id.Set.mem x targets then true else bfs (successors x @ rest)
+          if counts x then true else bfs (successors x @ rest)
         end
   in
   bfs [ id ]
@@ -154,14 +158,15 @@ let process_log t ~p =
   | Some log ->
       List.rev_map (function Deliver m -> Delivered m | Install v -> Installed v) !log
 
-let deliveries_in_view t ~p ~view_id =
+let segments t ~p =
   match Hashtbl.find_opt t.processes p with
   | None -> []
-  | Some log ->
-      let segs = segments_of (List.rev !log) in
-      List.concat_map
-        (fun s -> if s.view.View.id = view_id then s.deliveries else [])
-        segs
+  | Some log -> segments_of (List.rev !log)
+
+let deliveries_in_view t ~p ~view_id =
+  List.concat_map
+    (fun s -> if s.view.View.id = view_id then s.deliveries else [])
+    (segments t ~p)
 
 (* --- Checks. --- *)
 

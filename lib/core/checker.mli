@@ -115,6 +115,33 @@ val check_converged : t -> survivors:int list -> violation list
 val deliveries_in_view : t -> p:int -> view_id:int -> meta list
 (** For tests: what [p] delivered while in the given view. *)
 
+(** {1 The coverage relation}
+
+    The building blocks {!verify} checks with, exposed so a mutation
+    self-test can pick a corruption the checks provably flag. *)
+
+val build_successors : t -> Svs_obs.Msg_id.t -> Svs_obs.Msg_id.t list
+(** [build_successors t] precomputes, over every recorded multicast,
+    the messages that {e directly} obsolete a given one (quadratic in
+    the multicasts). *)
+
+val covered :
+  ?except:Svs_obs.Msg_id.t ->
+  (Svs_obs.Msg_id.t -> Svs_obs.Msg_id.t list) ->
+  Svs_obs.Msg_id.t ->
+  Svs_obs.Msg_id.Set.t ->
+  bool
+(** [covered successors m targets]: does some [m'] with [m ⊑* m'] (the
+    transitive closure, [m] itself included) belong to [targets]?
+    [except] never counts as a cover. *)
+
+type segment = { view : View.t; deliveries : meta list  (** In order. *) }
+
+val segments : t -> p:int -> segment list
+(** [p]'s log split at its installs: one segment per installed view,
+    holding the deliveries between that install and the next.
+    @raise Invalid_argument if [p] delivered before its first install. *)
+
 (** {1 Trace export}
 
     Read access to the recorded execution, in recording order — enough

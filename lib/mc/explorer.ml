@@ -49,19 +49,6 @@ type outcome =
 
 type run = { outcome : outcome; stats : stats }
 
-(* Mutation labels (trace files, CLI). *)
-
-let mutation_label = function
-  | Oracle.Drop_cover -> "drop-cover"
-  | Oracle.Duplicate_after_restart -> "dup-restart"
-  | Oracle.Split_brain -> "split-brain"
-
-let mutation_of_label = function
-  | "drop-cover" -> Some Oracle.Drop_cover
-  | "dup-restart" -> Some Oracle.Duplicate_after_restart
-  | "split-brain" -> Some Oracle.Split_brain
-  | _ -> None
-
 (* Violation check at a cut.  The base contracts are checked at every
    leaf — the checker log is monotone, so a violation anywhere along a
    path is still visible at its leaf.  Convergence binds only terminal
@@ -274,7 +261,7 @@ let config_line cfg mutation =
     cfg.Model.chain
     (match cfg.Model.shed with Some l -> string_of_int l | None -> "none")
     cfg.Model.max_depth
-    (match mutation with Some m -> mutation_label m | None -> "none")
+    (match mutation with Some m -> Oracle.mutation_label m | None -> "none")
 
 let write_trace oc cfg ?mutation trace =
   output_string oc (magic ^ "\n");
@@ -330,7 +317,7 @@ let parse_config_line line =
           match Hashtbl.find_opt tbl "mutation" with
           | None | Some "none" -> None
           | Some s -> (
-              match mutation_of_label s with
+              match Oracle.mutation_of_label s with
               | Some m -> Some m
               | None -> failwith "mutation")
         in

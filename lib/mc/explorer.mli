@@ -93,11 +93,6 @@ val minimize :
     {!Model.transition_to_string} line per choice.  Blank lines and
     [#] comments are ignored on read. *)
 
-val mutation_label : Svs_chaos.Oracle.mutation -> string
-(** ["drop-cover"], ["dup-restart"], ["split-brain"]. *)
-
-val mutation_of_label : string -> Svs_chaos.Oracle.mutation option
-
 val write_trace :
   out_channel ->
   Model.config ->

@@ -22,14 +22,15 @@
 #   scripts/ci.sh overload
 #                        overload-survival smoke: the wedged-consumer
 #                        chaos scenario under its backlog budget, the
-#                        inverted --no-shed self-check, the svs_mc
+#                        inverted no-shed self-test, the svs_mc
 #                        shed preset, and one traced perfbench wedged
 #                        run gated on its Checker verdict (which also
 #                        fails on any frame shed on the healthy link)
 #                        and on frames shed towards the wedged member
 #   scripts/ci.sh chaos  the full chaos sweep (20 seeds x every
 #                        scenario x both oracle modes) plus the
-#                        oracle mutation self-test
+#                        drop-cover and split-brain mutation
+#                        self-tests
 #   scripts/ci.sh mc     the full model-checking sweep: every svs_mc
 #                        preset explored exhaustively, the DPOR
 #                        reduction compared against naive DFS for
@@ -73,36 +74,25 @@ chaos_json --seeds 3 \
 chaos_json --seeds 3 --scenarios group-split,split-heal-merge,flapping-split
 chaos_json --seeds 3 --scenarios overload
 
-# Recovery inverted self-check: restarting members amnesiac (no WAL)
-# must be caught by the oracle — proves the recovery path is what
-# keeps Integrity true across crash-rejoin, not oracle blindness.
-# (Expected-red runs dump flight recordings; keep them out of the tree.)
-dune exec bin/svs_chaos.exe -- --seeds 2 --flight _build/ci-flight \
-  --scenarios crash-restart --modes svs --no-recovery > /dev/null
-
-# Merge inverted self-check: with merge-on-heal disabled, parked
-# members stay parked and every split scenario must fail the
-# re-convergence contract — proves the probe/merge path is load-bearing.
-dune exec bin/svs_chaos.exe -- --seeds 2 --flight _build/ci-flight \
-  --scenarios split-heal-merge --modes svs --no-merge > /dev/null
-
 # Hostile-input containment: the three hostile-input scenarios (wire
 # garbage over real sockets, WAL interior bit rot, replicated-state
-# divergence) must be contained with every defense on ...
+# divergence) must be contained with every defense on.
 dune exec bin/svs_chaos.exe -- --hostile
 
-# ... and each inverted self-check must flag the run when its defense
-# is disabled — proving quarantine, salvage, and self-healing are what
-# contain the scenario, not harness blindness.
-dune exec bin/svs_chaos.exe -- --no-quarantine
-dune exec bin/svs_chaos.exe -- --no-salvage
-dune exec bin/svs_chaos.exe -- --no-heal
+# Inverted self-tests (see CHAOS.md): each turns off one defence —
+# crash recovery, merge-on-heal, quarantine, WAL salvage, divergence
+# self-healing — and the oracle must flag every run that defence
+# should break while every other run stays clean. Proves each defence
+# is load-bearing, not oracle blindness. (Expected-red runs dump
+# flight recordings; keep them out of the tree.)
+dune exec bin/svs_chaos.exe -- --seeds 2 --flight _build/ci-flight \
+  --self-test no-recovery,no-merge,no-quarantine,no-salvage,no-heal > /dev/null
 
 # Flight-recorder acceptance: a failing (mutated) run must leave a
 # postmortem JSONL dump named after its replay line.
 rm -rf _build/ci-flight
-dune exec bin/svs_chaos.exe -- --seeds 1 --scenarios crash --modes svs \
-  --mutate --flight _build/ci-flight > /dev/null
+dune exec bin/svs_chaos.exe -- --self-test drop-cover --seeds 1 --scenarios crash \
+  --modes svs --flight _build/ci-flight > /dev/null
 ls _build/ci-flight/flight-crash-svs-1.jsonl > /dev/null || {
   echo "ci: mutated chaos run left no flight-recorder dump" >&2; exit 1; }
 
@@ -189,11 +179,10 @@ fi
 if [ "${1:-}" = "overload" ]; then
   # Overload survival: the wedged-consumer scenario must stay within
   # its backlog budget with semantic shedding on, and the inverted
-  # --no-shed run must EXCEED the budget — proving the verdict
+  # no-shed self-test must EXCEED the budget — proving the verdict
   # measures shedding, not a generous budget (see CHAOS.md).
   chaos_json --seeds 3 --scenarios overload
-  dune exec bin/svs_chaos.exe -- --seeds 2 --scenarios overload \
-    --modes svs --no-shed
+  dune exec bin/svs_chaos.exe -- --self-test no-shed --seeds 2
 
   # Model-check the shedding rule at small scope: every interleaving
   # of the shed preset (threshold 1 — shed at every opportunity) must
@@ -216,8 +205,7 @@ fi
 
 if [ "${1:-}" = "chaos" ]; then
   chaos_json --seeds 20
-  dune exec bin/svs_chaos.exe -- --seeds 5 --mutate
-  dune exec bin/svs_chaos.exe -- --seeds 5 --mutate-split-brain
+  dune exec bin/svs_chaos.exe -- --self-test drop-cover,split-brain --seeds 5
 fi
 
 if [ "${1:-}" = "mc" ]; then

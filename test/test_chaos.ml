@@ -1,11 +1,13 @@
 (* Tests for the chaos harness: scenario plans (determinism and
    well-formedness), seeded end-to-end runs under the safety oracle,
-   replayability, and the oracle's mutation self-test. *)
+   replayability, the oracle's mutation self-test, and the table of
+   inverted self-checks. *)
 
 module Rng = Svs_sim.Rng
 module Scenario = Svs_chaos.Scenario
 module Oracle = Svs_chaos.Oracle
 module Runner = Svs_chaos.Runner
+module Self_test = Svs_chaos.Self_test
 module Trace = Svs_telemetry.Trace
 
 (* A quick config so the whole suite stays fast: the CI chaos sweep
@@ -340,9 +342,9 @@ let test_split_heal_merges_back () =
     (List.exists (function { Trace.event = Trace.Merge _; _ } -> true | _ -> false) records)
 
 let test_no_merge_caught () =
-  (* The inverted self-check behind svs_chaos --no-merge: members that
-     fall out of the primary component and never probe back in must
-     break the re-convergence contract. *)
+  (* The inverted self-check behind svs_chaos --self-test no-merge:
+     members that fall out of the primary component and never probe
+     back in must break the re-convergence contract. *)
   let scenario = Option.get (Scenario.find "split-heal-merge") in
   let config = { quick with Runner.merge = false } in
   let o = Runner.run_one ~config ~mode:Oracle.Svs ~scenario ~seed:1 () in
@@ -426,6 +428,72 @@ let test_overload_no_shed_blows_budget () =
   Alcotest.(check bool) "shedding keeps the peak strictly lower" true
     (shed_on.Runner.peak_backlog < o.Runner.peak_backlog)
 
+(* --- The self-test table: one verdict rule for every inverted check --- *)
+
+(* The sweep rows run at the default scale, as svs_chaos does: the
+   overload budget is calibrated against it. *)
+let sweep_rows =
+  List.filter
+    (fun (t : Self_test.t) ->
+      match t.defence with Self_test.Invert _ -> false | _ -> true)
+    Self_test.all
+
+let pp_verdict (v : Self_test.verdict) =
+  Printf.sprintf "%d eligible, %d missed, %d unclean" v.eligible (List.length v.missed)
+    (List.length v.unclean)
+
+let test_sweep_rows_pass () =
+  Alcotest.(check int) "five sweep rows" 5 (List.length sweep_rows);
+  List.iter
+    (fun (t : Self_test.t) ->
+      let runs = Self_test.run ~config:Runner.default_config ~seeds:[ 1 ] t in
+      let v = Self_test.judge t runs in
+      Alcotest.(check bool) (t.name ^ ": passes (" ^ pp_verdict v ^ ")") true
+        (Self_test.passed v))
+    sweep_rows
+
+let test_defence_on_fails_rule () =
+  (* Negative control: judged on runs made with its defence left on,
+     every row must be reported failed — the rule itself catches a
+     missed defence. *)
+  let on =
+    Runner.sweep ~config:Runner.default_config ~modes:[ Oracle.Vs; Oracle.Svs ]
+      ~scenarios:Scenario.faulty ~seeds:[ 1 ] ()
+  in
+  List.iter
+    (fun (t : Self_test.t) ->
+      let runs =
+        List.filter_map
+          (fun (o : Runner.outcome) ->
+            let r = o.report in
+            if
+              List.mem r.Oracle.mode t.modes
+              && List.exists (fun sc -> sc.Scenario.name = r.Oracle.scenario) t.scenarios
+            then Some (Self_test.Sweep o)
+            else None)
+          on
+      in
+      let v = Self_test.judge t runs in
+      Alcotest.(check bool) (t.name ^ ": fails (" ^ pp_verdict v ^ ")") false
+        (Self_test.passed v))
+    sweep_rows
+
+let test_rows_judged_apart () =
+  (* Selected together over both rows' scenarios, no-merge and
+     no-recovery each turn off only their own defence: the amnesiac
+     restarts no-recovery catches never count against the merge rule,
+     nor merge-less heals against the recovery rule. *)
+  let scenarios = [ Scenario.split_heal_merge; Scenario.crash_restart ] in
+  List.iter
+    (fun name ->
+      let t = Option.get (Self_test.find name) in
+      let runs = Self_test.run ~scenarios ~config:Runner.default_config ~seeds:[ 1 ] t in
+      let v = Self_test.judge t runs in
+      Alcotest.(check bool) (name ^ ": passes (" ^ pp_verdict v ^ ")") true
+        (Self_test.passed v);
+      Alcotest.(check int) (name ^ ": one run judged eligible") 1 v.eligible)
+    [ "no-merge"; "no-recovery" ]
+
 let () =
   Alcotest.run "svs_chaos"
     [
@@ -468,5 +536,11 @@ let () =
           Alcotest.test_case "no-merge caught" `Slow test_no_merge_caught;
           Alcotest.test_case "split-brain mutation caught" `Slow
             test_split_brain_mutation_caught;
+        ] );
+      ( "self-test",
+        [
+          Alcotest.test_case "every sweep row passes" `Slow test_sweep_rows_pass;
+          Alcotest.test_case "defence on fails the rule" `Slow test_defence_on_fails_rule;
+          Alcotest.test_case "rows judged apart" `Slow test_rows_judged_apart;
         ] );
     ]
