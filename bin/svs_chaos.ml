@@ -89,21 +89,24 @@ let flight_term =
           "Directory for flight-recorder dumps. Each failing run writes its last \
            protocol events (virtual-time JSONL) to \
            $(docv)/flight-<scenario>-<mode>-<seed>.jsonl next to the replay line, so a \
-           red sweep ships a postmortem, not just a seed.")
+           red sweep ships a postmortem, not just a seed. A self-test writes into its \
+           own subdirectory, $(docv)/<name>/.")
 
 let self_test_term =
-  let names = "all" :: List.map (fun t -> t.C.Self_test.name) C.Self_test.all in
+  let rows =
+    ("all", C.Self_test.all) :: List.map (fun t -> (t.C.Self_test.name, [ t ])) C.Self_test.all
+  in
   Arg.(
     value
-    & opt (list (enum (List.map (fun n -> (n, n)) names))) []
+    & opt (list (enum rows)) []
     & info [ "self-test" ] ~docv:"NAME[,NAME...]"
         ~doc:
           ("Run inverted self-checks instead of the sweep. Each named check turns off \
             one defence, and only that one, over its own scenarios and modes \
             ($(b,--scenarios), $(b,--modes) and $(b,--seeds) override them; the three \
-            hostile checks run the hostile suite). It passes only if the oracle flags \
-            every run the missing defence should break while every other run stays \
-            clean. $(b,all) selects every check: "
+            hostile checks run the hostile suite once and take none of the three). It \
+            passes only if the oracle flags every run the missing defence should break \
+            while every other run stays clean. $(b,all) selects every check: "
           ^ String.concat " "
               (List.map
                  (fun t -> Printf.sprintf "$(b,%s): %s" t.C.Self_test.name t.C.Self_test.doc)
@@ -127,8 +130,8 @@ let json_term =
     & info [ "json" ]
         ~doc:
           "Emit a machine-readable JSON summary instead of the human output: one \
-           object per sweep, hostile suite or self-test, with totals, the self-test's \
-           name (or null) and one entry per run.")
+           object for the sweep, the hostile suite or a single self-test, with totals, \
+           the self-test's name (or null) and one entry per run.")
 
 let verbose_term =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every run, not just the table.")
@@ -194,14 +197,21 @@ let print_json ~self_test ~ok runs =
     ok
     (String.concat "," (List.map run_json runs))
 
-(* Write each failing run's flight-recorder ring as one JSONL file; the
-   name replays the run: scenario, mode, seed. *)
-let dump_flights ~dir outcomes =
+(* Write each failing run's flight-recorder ring as one JSONL file under
+   [dir]; the name replays the run: scenario, mode, seed. Each file is
+   announced on [log]. *)
+let dump_flights ~log ~dir outcomes =
   let failing =
     List.filter (fun (o : C.Runner.outcome) -> o.C.Runner.flight <> []) outcomes
   in
   if failing <> [] then begin
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+    let rec mkdir_p d =
+      if not (Sys.file_exists d) then begin
+        mkdir_p (Filename.dirname d);
+        Sys.mkdir d 0o755
+      end
+    in
+    mkdir_p dir;
     List.iter
       (fun (o : C.Runner.outcome) ->
         let r = o.C.Runner.report in
@@ -218,7 +228,7 @@ let dump_flights ~dir outcomes =
             output_char oc '\n')
           o.C.Runner.flight;
         close_out oc;
-        Format.fprintf ppf "flight recorder: %d event(s) -> %s@."
+        Format.fprintf log "flight recorder: %d event(s) -> %s@."
           (List.length o.C.Runner.flight) file)
       failing
   end
@@ -245,16 +255,16 @@ let pp_unclean ppf = function
 
 let run scenarios modes seeds seed_base nodes horizon settle trace flight_dir self_tests
     hostile json verbose plan =
+  let self_tests =
+    List.filter (fun t -> List.exists (List.memq t) self_tests) C.Self_test.all
+  in
   match plan with
   | Some scenario ->
       print_plan scenario ~seed:seed_base ~nodes ~horizon;
-      0
+      `Ok 0
+  | None when json && List.length self_tests + Bool.to_int hostile > 1 ->
+      `Error (true, "--json reports one self-test, or --hostile, per invocation")
   | None ->
-      let self_tests =
-        List.filter
-          (fun t -> List.mem "all" self_tests || List.mem t.C.Self_test.name self_tests)
-          C.Self_test.all
-      in
       let config = { C.Runner.default_config with nodes; horizon; settle } in
       let seeds = List.init seeds (fun i -> seed_base + i) in
       let oc = Option.map open_out trace in
@@ -274,7 +284,10 @@ let run scenarios modes seeds seed_base nodes horizon settle trace flight_dir se
       in
       (* Report one batch of runs under its verdict; returns its exit code. *)
       let finish ~self_test ~ok ~summary runs =
-        dump_flights ~dir:flight_dir (sweep_outcomes runs);
+        dump_flights
+          ~log:(if json then Format.err_formatter else ppf)
+          ~dir:(Option.fold ~none:flight_dir ~some:(Filename.concat flight_dir) self_test)
+          (sweep_outcomes runs);
         (match sweep_outcomes runs with
         | [] -> ()
         | outcomes -> say "%a@." (fun ppf () -> C.Runner.pp_table ppf outcomes) ());
@@ -331,15 +344,16 @@ let run scenarios modes seeds seed_base nodes horizon settle trace flight_dir se
           2
       in
       Option.iter close_out oc;
-      code
+      `Ok code
 
 let main =
   let doc = "Deterministic chaos sweeps checked by the SVS safety oracle" in
   let info = Cmd.info "svs_chaos" ~version:"1.0.0" ~doc in
   Cmd.v info
     Term.(
-      const run $ scenarios_term $ modes_term $ seeds_term $ seed_base_term $ nodes_term
-      $ horizon_term $ settle_term $ trace_term $ flight_term $ self_test_term
-      $ hostile_term $ json_term $ verbose_term $ plan_term)
+      ret
+        (const run $ scenarios_term $ modes_term $ seeds_term $ seed_base_term
+       $ nodes_term $ horizon_term $ settle_term $ trace_term $ flight_term
+       $ self_test_term $ hostile_term $ json_term $ verbose_term $ plan_term))
 
 let () = exit (Cmd.eval' main)

@@ -94,7 +94,9 @@ let find_droppable check =
                   in
                   if
                     witnessed
-                    && not (Checker.covered ~except:m.id successors m.id before_next)
+                    && not
+                         (Checker.covered successors m.id
+                            (Msg_id.Set.remove m.id before_next))
                   then Some (q, m.id)
                   else None)
                 si.deliveries

@@ -9,16 +9,22 @@ let clean = function
   | Hostile r -> Hostile.ok r
 
 type defence =
-  | Config of (Runner.config -> Runner.config)
-  | Mutation of Oracle.mutation
+  | Config of {
+      off : Runner.config -> Runner.config;
+      scenarios : Scenario.t list;
+      modes : Oracle.mode list;
+    }
+  | Mutation of {
+      mutation : Oracle.mutation;
+      scenarios : Scenario.t list;
+      modes : Oracle.mode list;
+    }
   | Invert of string
 
 type t = {
   name : string;
   doc : string;
   defence : defence;
-  scenarios : Scenario.t list;
-  modes : Oracle.mode list;
   eligible : run -> bool;
   caught : run -> bool;
 }
@@ -29,9 +35,8 @@ let mutation m doc =
   {
     name = Oracle.mutation_label m;
     doc;
-    defence = Mutation m;
-    scenarios = Scenario.faulty;
-    modes = [ Oracle.Vs; Oracle.Svs ];
+    defence =
+      Mutation { mutation = m; scenarios = Scenario.faulty; modes = [ Oracle.Vs; Oracle.Svs ] };
     eligible = (fun _ -> true);
     caught = flagged;
   }
@@ -40,9 +45,7 @@ let toggle ?(caught = flagged) name doc off scenario eligible =
   {
     name;
     doc;
-    defence = Config off;
-    scenarios = [ scenario ];
-    modes = [ Oracle.Svs ];
+    defence = Config { off; scenarios = [ scenario ]; modes = [ Oracle.Svs ] };
     eligible = sweep_only eligible;
     caught;
   }
@@ -52,8 +55,6 @@ let hostile name target doc =
     name;
     doc;
     defence = Invert target;
-    scenarios = [];
-    modes = [];
     eligible = (function Hostile r -> r.Hostile.scenario = target | Sweep _ -> false);
     caught = flagged;
   }
@@ -98,32 +99,30 @@ let all =
       "detect state divergence but never self-demote; state-divergence must fail.";
   ]
 
-let find name = List.find_opt (fun t -> t.name = name) all
-
 let hostile_runs ~on_run ~invert =
   List.map
     (fun name ->
-      let r = Hostile (Hostile.run ~name ~invert:(name = invert)) in
+      let r = Hostile (Hostile.run ~name ~invert:(Some name = invert)) in
       on_run r;
       r)
     Hostile.names
 
 let run ?tracer ?(on_run = ignore) ?scenarios ?modes ~config ~seeds t =
-  let sweep ?mutation config =
+  let sweep ?mutation config ~scenarios:default_scenarios ~modes:default_modes =
     List.map
       (fun o -> Sweep o)
       (Runner.sweep ?mutation ?tracer ~config
          ~on_run:(fun o -> on_run (Sweep o))
-         ~modes:(Option.value modes ~default:t.modes)
-         ~scenarios:(Option.value scenarios ~default:t.scenarios)
+         ~modes:(Option.value modes ~default:default_modes)
+         ~scenarios:(Option.value scenarios ~default:default_scenarios)
          ~seeds ())
   in
   match t.defence with
-  | Config off -> sweep (off config)
-  | Mutation m -> sweep ~mutation:m config
-  | Invert target -> hostile_runs ~on_run ~invert:target
+  | Config { off; scenarios; modes } -> sweep (off config) ~scenarios ~modes
+  | Mutation { mutation; scenarios; modes } -> sweep ~mutation config ~scenarios ~modes
+  | Invert target -> hostile_runs ~on_run ~invert:(Some target)
 
-let hostile_suite ?(on_run = ignore) () = hostile_runs ~on_run ~invert:""
+let hostile_suite ?(on_run = ignore) () = hostile_runs ~on_run ~invert:None
 
 type verdict = { eligible : int; missed : run list; unclean : run list }
 

@@ -20,23 +20,30 @@ val flagged : run -> bool
 val clean : run -> bool
 (** Not {!flagged}, and within any backlog budget. *)
 
-(** The one defence a row turns off. *)
+(** The one defence a row turns off, and what it runs without it. *)
 type defence =
-  | Config of (Runner.config -> Runner.config)
-      (** Clears a {!Runner.config} field ([recover], [merge], [shed]). *)
-  | Mutation of Oracle.mutation
-      (** Corrupts each recorded log before the oracle checks it. *)
+  | Config of {
+      off : Runner.config -> Runner.config;
+      scenarios : Scenario.t list;
+      modes : Oracle.mode list;
+    }
+      (** Clears a {!Runner.config} field ([recover], [merge], [shed])
+          and sweeps these default scenarios and modes. *)
+  | Mutation of {
+      mutation : Oracle.mutation;
+      scenarios : Scenario.t list;
+      modes : Oracle.mode list;
+    }
+      (** Corrupts each recorded log of a sweep over these default
+          scenarios and modes before the oracle checks it. *)
   | Invert of string
-      (** Runs the hostile suite with this scenario's defence off. *)
+      (** Runs every {!Hostile.names} scenario, with this one's defence
+          off. *)
 
 type t = {
   name : string;
   doc : string;
   defence : defence;
-  scenarios : Scenario.t list;
-      (** Default sweep; [[]] for hostile rows, which run every
-          {!Hostile.names} scenario. *)
-  modes : Oracle.mode list;  (** Default modes ([[]] for hostile rows). *)
   eligible : run -> bool;  (** The run must be caught. *)
   caught : run -> bool;  (** The run shows the missing defence. *)
 }
@@ -44,8 +51,6 @@ type t = {
 val all : t list
 (** [drop-cover], [split-brain], [no-merge], [no-recovery], [no-shed],
     [no-quarantine], [no-salvage], [no-heal]. *)
-
-val find : string -> t option
 
 val run :
   ?tracer:Svs_telemetry.Trace.t ->
@@ -57,8 +62,9 @@ val run :
   t ->
   run list
 (** The row's runs with its defence off and every other defence on.
-    [scenarios] and [modes] override the row's defaults; hostile rows
-    ignore them and [seeds]. Each run is handed to [on_run] as it
+    [scenarios] and [modes] override a sweep row's defaults; an
+    {!Invert} row runs the hostile suite once and takes none of
+    [scenarios], [modes] and [seeds]. Each run is handed to [on_run] as it
     completes. @raise Failure as {!Runner.sweep}. *)
 
 val hostile_suite : ?on_run:(run -> unit) -> unit -> run list

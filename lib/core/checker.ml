@@ -102,13 +102,9 @@ let build_successors t =
     all;
   fun id -> match Hashtbl.find_opt succ id with Some l -> !l | None -> []
 
-(* [covered successors m targets]: does some m' with m ⊑* m' (other
-   than [except]) belong to [targets]? BFS over the closure. *)
-let covered ?except successors (id : Msg_id.t) targets =
-  let counts x =
-    Msg_id.Set.mem x targets
-    && match except with Some e -> not (Msg_id.equal x e) | None -> true
-  in
+(* [covered successors m targets]: does some m' with m ⊑* m' belong to
+   [targets]? BFS over the closure. *)
+let covered successors (id : Msg_id.t) targets =
   let visited = Hashtbl.create 16 in
   let rec bfs = function
     | [] -> false
@@ -116,7 +112,7 @@ let covered ?except successors (id : Msg_id.t) targets =
         if Hashtbl.mem visited x then bfs rest
         else begin
           Hashtbl.replace visited x ();
-          if counts x then true else bfs (successors x @ rest)
+          if Msg_id.Set.mem x targets then true else bfs (successors x @ rest)
         end
   in
   bfs [ id ]

@@ -126,14 +126,12 @@ val build_successors : t -> Svs_obs.Msg_id.t -> Svs_obs.Msg_id.t list
     the multicasts). *)
 
 val covered :
-  ?except:Svs_obs.Msg_id.t ->
   (Svs_obs.Msg_id.t -> Svs_obs.Msg_id.t list) ->
   Svs_obs.Msg_id.t ->
   Svs_obs.Msg_id.Set.t ->
   bool
 (** [covered successors m targets]: does some [m'] with [m ⊑* m'] (the
-    transitive closure, [m] itself included) belong to [targets]?
-    [except] never counts as a cover. *)
+    transitive closure, [m] itself included) belong to [targets]? *)
 
 type segment = { view : View.t; deliveries : meta list  (** In order. *) }
 

@@ -89,11 +89,12 @@ dune exec bin/svs_chaos.exe -- --seeds 2 --flight _build/ci-flight \
   --self-test no-recovery,no-merge,no-quarantine,no-salvage,no-heal > /dev/null
 
 # Flight-recorder acceptance: a failing (mutated) run must leave a
-# postmortem JSONL dump named after its replay line.
+# postmortem JSONL dump in the self-test's own subdirectory, named
+# after its replay line.
 rm -rf _build/ci-flight
 dune exec bin/svs_chaos.exe -- --self-test drop-cover --seeds 1 --scenarios crash \
   --modes svs --flight _build/ci-flight > /dev/null
-ls _build/ci-flight/flight-crash-svs-1.jsonl > /dev/null || {
+ls _build/ci-flight/drop-cover/flight-crash-svs-1.jsonl > /dev/null || {
   echo "ci: mutated chaos run left no flight-recorder dump" >&2; exit 1; }
 
 # Model-checker smoke: exhaust the acceptance configuration (3 nodes,

@@ -430,12 +430,17 @@ let test_overload_no_shed_blows_budget () =
 
 (* --- The self-test table: one verdict rule for every inverted check --- *)
 
-(* The sweep rows run at the default scale, as svs_chaos does: the
-   overload budget is calibrated against it. *)
+(* The sweep rows, each with its default scenarios and modes. They run
+   at the default scale, as svs_chaos does: the overload budget is
+   calibrated against it. *)
 let sweep_rows =
-  List.filter
+  List.filter_map
     (fun (t : Self_test.t) ->
-      match t.defence with Self_test.Invert _ -> false | _ -> true)
+      match t.defence with
+      | Self_test.Config { scenarios; modes; _ } | Self_test.Mutation { scenarios; modes; _ }
+        ->
+          Some (t, scenarios, modes)
+      | Self_test.Invert _ -> None)
     Self_test.all
 
 let pp_verdict (v : Self_test.verdict) =
@@ -445,7 +450,7 @@ let pp_verdict (v : Self_test.verdict) =
 let test_sweep_rows_pass () =
   Alcotest.(check int) "five sweep rows" 5 (List.length sweep_rows);
   List.iter
-    (fun (t : Self_test.t) ->
+    (fun ((t : Self_test.t), _, _) ->
       let runs = Self_test.run ~config:Runner.default_config ~seeds:[ 1 ] t in
       let v = Self_test.judge t runs in
       Alcotest.(check bool) (t.name ^ ": passes (" ^ pp_verdict v ^ ")") true
@@ -461,14 +466,14 @@ let test_defence_on_fails_rule () =
       ~scenarios:Scenario.faulty ~seeds:[ 1 ] ()
   in
   List.iter
-    (fun (t : Self_test.t) ->
+    (fun ((t : Self_test.t), scenarios, modes) ->
       let runs =
         List.filter_map
           (fun (o : Runner.outcome) ->
             let r = o.report in
             if
-              List.mem r.Oracle.mode t.modes
-              && List.exists (fun sc -> sc.Scenario.name = r.Oracle.scenario) t.scenarios
+              List.mem r.Oracle.mode modes
+              && List.exists (fun sc -> sc.Scenario.name = r.Oracle.scenario) scenarios
             then Some (Self_test.Sweep o)
             else None)
           on
@@ -486,7 +491,7 @@ let test_rows_judged_apart () =
   let scenarios = [ Scenario.split_heal_merge; Scenario.crash_restart ] in
   List.iter
     (fun name ->
-      let t = Option.get (Self_test.find name) in
+      let t = List.find (fun (t : Self_test.t) -> t.name = name) Self_test.all in
       let runs = Self_test.run ~scenarios ~config:Runner.default_config ~seeds:[ 1 ] t in
       let v = Self_test.judge t runs in
       Alcotest.(check bool) (name ^ ": passes (" ^ pp_verdict v ^ ")") true
