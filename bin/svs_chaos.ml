@@ -163,13 +163,14 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* A run that is not clean also carries the line that replays it. *)
 let run_json = function
-  | C.Self_test.Sweep o ->
+  | C.Self_test.Sweep o as run ->
       let r = o.C.Runner.report in
       Printf.sprintf
         "{\"scenario\":\"%s\",\"mode\":\"%s\",\"seed\":%d,\"ok\":%b,\"violations\":%d,\
          \"deliveries\":%d,\"installs\":%d,\"faults\":%d,\"restarts\":%d,\"parked\":%d,\
-         \"sent\":%d,\"purged\":%d,\"shed\":%d,\"peak_backlog\":%d,\"over_budget\":%s}"
+         \"sent\":%d,\"purged\":%d,\"shed\":%d,\"peak_backlog\":%d,\"over_budget\":%s%s}"
         (json_escape r.C.Oracle.scenario)
         (C.Oracle.mode_label r.C.Oracle.mode)
         r.C.Oracle.seed (C.Oracle.ok r)
@@ -180,6 +181,8 @@ let run_json = function
         (match o.C.Runner.over_budget with
         | None -> "null"
         | Some b -> string_of_bool b)
+        (if C.Self_test.clean run then ""
+         else Printf.sprintf ",\"replay\":\"%s\"" (json_escape (C.Oracle.replay r)))
   | C.Self_test.Hostile r ->
       Printf.sprintf "{\"scenario\":\"%s\",\"ok\":%b,\"failed_checks\":[%s]}"
         (json_escape r.C.Hostile.scenario) (C.Hostile.ok r)
@@ -249,8 +252,9 @@ let pp_unclean ppf = function
   | C.Self_test.Sweep o when not (C.Oracle.ok o.C.Runner.report) ->
       C.Oracle.pp_report ppf o.C.Runner.report
   | C.Self_test.Sweep o as run ->
-      Format.fprintf ppf "OVER BUDGET: %a peak_backlog=%d shed=%d" pp_run run
+      Format.fprintf ppf "OVER BUDGET: %a peak_backlog=%d shed=%d@\nreplay: %s" pp_run run
         o.C.Runner.peak_backlog o.C.Runner.shed
+        (C.Oracle.replay o.C.Runner.report)
   | C.Self_test.Hostile _ as run -> Format.fprintf ppf "%a was NOT contained" pp_run run
 
 let run scenarios modes seeds seed_base nodes horizon settle trace flight_dir self_tests

@@ -322,8 +322,9 @@ let cmd =
       & opt (some float) None
       & info [ "divergence-period" ] ~docv:"SECONDS"
           ~doc:
-            "Replicated-state divergence self-healing: compare the state digests that \
-             ride every heartbeat at this period. A quiescent member whose digest \
+            "Replicated-state divergence self-healing: send this node's state digest \
+             to the rest of its view at this period, and compare the reports. A \
+             quiescent member whose digest \
              disagrees with a unanimous rest-of-view for several consecutive rounds \
              self-demotes and re-enters through JOIN/SYNC with state transfer \
              (counted in $(b,svs_divergence_detected_total)).")

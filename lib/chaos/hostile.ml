@@ -315,7 +315,7 @@ let run_state_divergence ?(heal = true) ?(seed = 11) () =
   let config =
     {
       Group.default_config with
-      divergence = Some { Group.div_period = 0.2; div_rounds = 3; div_heal = heal };
+      divergence = Some { Svs_core.Member.period = 0.2; rounds = 3; heal };
       tracer;
     }
   in

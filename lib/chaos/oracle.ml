@@ -29,6 +29,7 @@ type report = {
   deliveries : int;
   installs : int;
   mutated : (int * Msg_id.t) option;
+  replay_args : string list;
 }
 
 let ok r = r.violations = []
@@ -289,7 +290,13 @@ let check ?mutation ?expect_converged ~mode ~seed ~scenario check_t =
     | Some survivors -> violations @ Checker.check_converged check_t ~survivors
   in
   let deliveries, installs = counts check_t in
-  { mode; seed; scenario; violations; deliveries; installs; mutated }
+  { mode; seed; scenario; violations; deliveries; installs; mutated; replay_args = [] }
+
+let replay r =
+  String.concat " "
+    ([ "svs_chaos"; "--scenarios"; r.scenario; "--modes"; mode_label r.mode; "--seeds"; "1";
+       "--seed-base"; string_of_int r.seed ]
+    @ r.replay_args)
 
 let pp_report ppf r =
   if ok r then
@@ -298,14 +305,14 @@ let pp_report ppf r =
   else begin
     Format.fprintf ppf
       "@[<v>CHAOS SAFETY VIOLATION seed=%d scenario=%s mode=%s (%d violation%s)%s@,\
-       replay: svs_chaos --scenarios %s --modes %s --seeds 1 --seed-base %d" r.seed
+       replay: %s" r.seed
       r.scenario (mode_label r.mode)
       (List.length r.violations)
       (if List.length r.violations = 1 then "" else "s")
       (match r.mutated with
       | Some (q, id) -> Format.asprintf " [mutated: %a at process %d]" Msg_id.pp id q
       | None -> "")
-      r.scenario (mode_label r.mode) r.seed;
+      (replay r);
     List.iter
       (fun v ->
         match view_pair v with

@@ -76,6 +76,10 @@ type report = {
   installs : int;  (** View installations checked. *)
   mutated : (int * Svs_obs.Msg_id.t) option;
       (** The (process, message id) removed by a {!mutation}. *)
+  replay_args : string list;
+      (** What else the run was made with, as [svs_chaos] arguments
+          (a self-test, a non-default group size or horizon): [[]]
+          from {!check}, filled in by {!Runner} and {!Self_test}. *)
 }
 
 val check :
@@ -100,6 +104,10 @@ val view_pair : Svs_core.Checker.violation -> (int * int) option
 (** The violated view transition [(v_i, v_{i+1})], when the clause is
     about one. *)
 
+val replay : report -> string
+(** The [svs_chaos] command line that reruns exactly this run: its
+    scenario, mode and seed, then its [replay_args]. *)
+
 val pp_report : Format.formatter -> report -> unit
 (** One line for a pass; seed + scenario + every violation with its
-    view pair for a failure. *)
+    view pair, and the {!replay} line, for a failure. *)

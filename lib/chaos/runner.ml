@@ -56,6 +56,19 @@ type outcome = {
    caller's tracer. Only a failing run pays to materialise them. *)
 let flight_capacity = 2048
 
+(* The [svs_chaos] flags that set [config] where it differs from the
+   default; the rest of the config is only reachable through a
+   self-test. *)
+let replay_args config =
+  let d = default_config in
+  List.concat_map
+    (fun (flag, differs, value) -> if differs then [ flag; value ] else [])
+    [
+      ("--nodes", config.nodes <> d.nodes, string_of_int config.nodes);
+      ("--horizon", config.horizon <> d.horizon, Printf.sprintf "%.17g" config.horizon);
+      ("--settle", config.settle <> d.settle, Printf.sprintf "%.17g" config.settle);
+    ]
+
 let run_one ?mutation ?(tracer = Trace.nop) ?(config = default_config) ~mode ~scenario ~seed
     () =
   let engine = Engine.create ~seed () in
@@ -176,6 +189,7 @@ let run_one ?mutation ?(tracer = Trace.nop) ?(config = default_config) ~mode ~sc
     Oracle.check ?mutation ?expect_converged ~mode ~seed ~scenario:scenario.Scenario.name
       (Group.checker cluster)
   in
+  let report = { report with Oracle.replay_args = replay_args config } in
   {
     report;
     faults = Injector.faults_injected injection;

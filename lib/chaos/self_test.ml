@@ -108,11 +108,16 @@ let hostile_runs ~on_run ~invert =
     Hostile.names
 
 let run ?tracer ?(on_run = ignore) ?scenarios ?modes ~config ~seeds t =
+  (* A run's replay line reruns it under this self-test. *)
+  let sweep_run (o : Runner.outcome) =
+    let r = o.Runner.report in
+    let replay_args = "--self-test" :: t.name :: r.Oracle.replay_args in
+    Sweep { o with Runner.report = { r with Oracle.replay_args } }
+  in
   let sweep ?mutation config ~scenarios:default_scenarios ~modes:default_modes =
-    List.map
-      (fun o -> Sweep o)
+    List.map sweep_run
       (Runner.sweep ?mutation ?tracer ~config
-         ~on_run:(fun o -> on_run (Sweep o))
+         ~on_run:(fun o -> on_run (sweep_run o))
          ~modes:(Option.value modes ~default:default_modes)
          ~scenarios:(Option.value scenarios ~default:default_scenarios)
          ~seeds ())

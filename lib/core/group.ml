@@ -17,23 +17,12 @@ type consensus_mode =
   | Arbiter
   | Chandra_toueg
 
-type overflow = {
+(* The member shell's laggard rule, measured per link: a member's
+   data held back at a peer above [backlog_limit] messages. *)
+type laggard = {
   backlog_limit : int;
-  patience : float;
-  check_period : float;
-}
-
-(* Replicated-state divergence self-healing: members gossip a cheap
-   digest of their replicated state every [period]; a quiescent member
-   whose digest disagrees with a unanimous rest-of-view for [rounds]
-   consecutive evaluations concludes it is the corrupt one and — with
-   [heal] — self-demotes and rejoins through JOIN/SYNC with state
-   transfer. [heal = false] detects (and counts) without demoting, for
-   the inverted chaos self-check. *)
-type divergence = {
-  div_period : float;
-  div_rounds : int;
-  div_heal : bool;
+  report_after : float;
+  evict_after : float option;
 }
 
 type config = {
@@ -43,10 +32,10 @@ type config = {
   consensus : consensus_mode;
   auto_view_change : bool;
   stability_period : float option;
-  overflow_exclusion : overflow option;
+  laggard : laggard option;
   park_timeout : float option;
   merge : bool;
-  divergence : divergence option;
+  divergence : Member.divergence option;
   shed : int option;
       (* Semantic shedding of backlogged network queues (paused
          inboxes, held links) once they exceed this many data
@@ -65,7 +54,7 @@ let default_config =
     consensus = Arbiter;
     auto_view_change = true;
     stability_period = None;
-    overflow_exclusion = None;
+    laggard = None;
     park_timeout = None;
     merge = true;
     divergence = None;
@@ -502,17 +491,32 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
             List.iter (fun f -> f v app) (self ()).synced_cbs);
         parked = (fun () -> retire (self ()));
         rejoin = (fun () -> restart cluster me ~recover:true);
+        lag =
+          (* Since when each peer has held back over the limit. *)
+          (let over_since = Hashtbl.create 7 in
+           fun p ->
+             let n = inflight_from (member cluster p) ~src:me in
+             match config.laggard with
+             | Some { backlog_limit; _ } when n > backlog_limit ->
+                 let now = Engine.now eng in
+                 let since = Option.value (Hashtbl.find_opt over_since p) ~default:now in
+                 Hashtbl.replace over_since p since;
+                 (now -. since, n)
+             | Some _ | None ->
+                 Hashtbl.remove over_since p;
+                 (0.0, 0));
+        send_digest =
+          (fun ~dst ~view_id digest -> Network.send net ~src:me ~dst (Digest { view_id; digest }));
       }
     in
     let core =
       Member.create eng ~me ~peers:ids ~clock:(Engine.clock eng) ~semantic:config.semantic
         ~tracer:config.tracer ?metrics:config.metrics ?park_timeout:config.park_timeout
-        ~merge:config.merge
-        ?divergence:
+        ~merge:config.merge ?divergence:config.divergence
+        ?laggard:
           (Option.map
-             (fun { div_period; div_rounds; div_heal } ->
-               { Member.period = div_period; rounds = div_rounds; heal = div_heal })
-             config.divergence)
+             (fun { report_after; evict_after; _ } -> { Member.report_after; evict_after })
+             config.laggard)
         ?stability_period:config.stability_period
         ~merge_spans:
           (match config.metrics with
@@ -529,57 +533,6 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
   in
   let ms = List.map mk_member ids in
   cluster.member_list <- ms;
-  (* Reconfiguration as a last resort (§3.2: "the lack of available
-     buffer space at one or more processes" triggers a view change):
-     a member whose network backlog stays above the limit for the
-     whole patience window is expelled by the first healthy member. *)
-  (match config.overflow_exclusion with
-  | None -> ()
-  | Some { backlog_limit; patience; check_period } ->
-      let over_since : (int, float) Hashtbl.t = Hashtbl.create 8 in
-      ignore
-        (Engine.every eng ~period:check_period (fun () ->
-             let now = Engine.now eng in
-             List.iter
-               (fun m ->
-                 if is_member m && Queue.length m.inbox > backlog_limit then begin
-                   if not (Hashtbl.mem over_since m.me) then Hashtbl.replace over_since m.me now;
-                   let since = Hashtbl.find over_since m.me in
-                   if now -. since >= patience then begin
-                     match
-                       List.find_opt
-                         (fun p -> p.me <> m.me && is_member p && not (is_blocked p))
-                         cluster.member_list
-                     with
-                     | Some initiator ->
-                         Hashtbl.remove over_since m.me;
-                         trigger_view_change initiator ~leave:[ m.me ] ()
-                     | None -> ()
-                   end
-                 end
-                 else Hashtbl.remove over_since m.me)
-               cluster.member_list;
-             true)
-          : Engine.handle));
-  (* Divergence gossip: every member broadcasts its digest once a
-     period; the member shells compare the reports half a period
-     later. *)
-  (match config.divergence with
-  | None -> ()
-  | Some { div_period; _ } ->
-      ignore
-        (Engine.every eng ~period:div_period (fun () ->
-             List.iter
-               (fun m ->
-                 if is_member m && not (is_blocked m) then begin
-                   let d = Digest { view_id = (view m).View.id; digest = Member.digest m.core } in
-                   List.iter
-                     (fun q -> if q <> m.me then Network.send net ~src:m.me ~dst:q d)
-                     (view m).View.members
-                 end)
-               cluster.member_list;
-             true)
-          : Engine.handle));
   List.iter
     (fun m ->
       Checker.record_install cluster.check ~p:m.me initial_view;

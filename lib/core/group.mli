@@ -25,25 +25,14 @@ type consensus_mode =
   | Arbiter  (** Centralised decision service ({!Svs_consensus.Arbiter}). *)
   | Chandra_toueg  (** The real ◇S consensus over the same network. *)
 
-type overflow = {
-  backlog_limit : int;  (** Held-back messages tolerated at a member. *)
-  patience : float;  (** Seconds above the limit before expulsion. *)
-  check_period : float;
-}
-
-(** Replicated-state divergence self-healing; see the [divergence]
-    config field. *)
-type divergence = {
-  div_period : float;  (** Digest gossip (and evaluation) period. *)
-  div_rounds : int;
-      (** Consecutive disagreeing evaluations before self-demotion.
-          Only the {e same} disagreement (both digests unchanged)
-          extends the streak, so floor lag under in-flight traffic
-          never convicts a healthy member. *)
-  div_heal : bool;
-      (** [true]: the divergent member self-demotes and rejoins via
-          JOIN/SYNC with state transfer. [false]: detect and count
-          only — the inverted chaos self-check. *)
+(** The member shell's laggard rule ({!Member.laggard}) on the
+    simulated network: a link is over the limit while more than
+    [backlog_limit] of this member's data messages are held back at
+    the peer. *)
+type laggard = {
+  backlog_limit : int;  (** This member's messages tolerated at a peer. *)
+  report_after : float;  (** Seconds over the limit before a report. *)
+  evict_after : float option;  (** Seconds over the limit before eviction. *)
 }
 
 type config = {
@@ -62,13 +51,14 @@ type config = {
           (keeps view changes cheap on long-running groups). Note:
           periodic gossip keeps the engine's event queue non-empty, so
           run the engine with a horizon. *)
-  overflow_exclusion : overflow option;
-      (** Reconfiguration as a last resort (§3.2): expel a member whose
-          backlog exceeds the limit for the whole patience window.
-          With purging on, this fires only when obsolescence cannot
-          absorb the perturbation — the paper's "if purging is not
-          enough ... reconfiguration can still happen". (Periodic
-          checker: run the engine with a horizon.) *)
+  laggard : laggard option;
+      (** Reconfiguration as a last resort (§3.2): each member evicts
+          a peer that held its data back over the limit for
+          [evict_after]. With purging on, this fires only when
+          obsolescence cannot absorb the perturbation — the paper's
+          "if purging is not enough ... reconfiguration can still
+          happen". (Periodic checker: run the engine with a
+          horizon.) *)
   park_timeout : float option;
       (** Primary-component survival: a member still blocked in the
           same view change after this many (virtual) seconds has lost
@@ -84,15 +74,17 @@ type config = {
           hold the probes, so the merge happens automatically at the
           heal. [false] leaves parked members parked — used by the
           chaos no-merge self-check. *)
-  divergence : divergence option;
+  divergence : Member.divergence option;
       (** When set, members gossip a cheap digest of their replicated
           state (installed view, merged floors, application digest via
-          {!set_state_digest}) every [div_period]; a quiescent member
+          {!set_state_digest}) every [period]; a quiescent member
           whose digest disagrees with a unanimous rest-of-view for
-          [div_rounds] consecutive evaluations concludes {e it} is the
+          [rounds] consecutive evaluations concludes {e it} is the
           corrupt one, traced as [Divergence] and counted in
-          {!divergence_events}. Default [None]. (Periodic gossip:
-          run the engine with a horizon.) *)
+          {!divergence_events}, and with [heal] self-demotes and
+          rejoins via JOIN/SYNC with state transfer ([heal = false]
+          only counts: the inverted chaos self-check). Default [None].
+          (Periodic gossip: run the engine with a horizon.) *)
   shed : int option;
       (** Semantic shedding of backlogged network queues (a paused
           member's inbox, a partitioned or manual-mode link): once a

@@ -21,15 +21,20 @@ type 'p host = {
   synced : View.t -> string option -> unit;
   parked : unit -> unit;
   rejoin : unit -> unit;
+  lag : int -> float * int;
+  send_digest : dst:int -> view_id:int -> int -> unit;
 }
 
 type divergence = { period : float; rounds : int; heal : bool }
+
+type laggard = { report_after : float; evict_after : float option }
 
 type 'p t = {
   me : int;
   engine : Engine.t;
   clock : unit -> float;
   host : 'p host;
+  suspects : int -> bool; (* the host's detector, plus [evicting] *)
   semantic : bool;
   tracer : Trace.t;
   metrics : Metrics.t option;
@@ -61,6 +66,14 @@ type 'p t = {
   mutable div_last : (int * int) option;
   mutable heal_pending : bool;
   divergences : Metrics.Counter.t;
+  (* Laggard bookkeeping: peers reported in their current episode over
+     the driver's limit, and peers being evicted. An evicting peer is
+     suspected for as long as its lag lasts — its (alive, still
+     beating) detector cannot rescind that — and the episode ends when
+     its lag reads 0. *)
+  reported : (int, unit) Hashtbl.t;
+  evicting : (int, unit) Hashtbl.t;
+  slow_reports : Metrics.Counter.t;
 }
 
 let protocol m = m.proto
@@ -84,6 +97,10 @@ let parks m = m.parks
 let divergences m = Metrics.Counter.value m.divergences
 
 let divergence_streak m = m.div_streak
+
+let slow_reports m = Metrics.Counter.value m.slow_reports
+
+let evicting m p = Hashtbl.mem m.evicting p
 
 let set_state_digest m f = m.state_digest <- Some f
 
@@ -140,7 +157,7 @@ and handle_output m = function
 and start_instance m ~view_id proposal =
   if not (Hashtbl.mem m.instances view_id) then begin
     let inst =
-      Ct.create m.engine ~me:m.me ~members:(view m).View.members ~suspects:m.host.suspects
+      Ct.create m.engine ~me:m.me ~members:(view m).View.members ~suspects:m.suspects
         ~send:(fun ~dst msg -> m.host.send_cons ~dst ~view_id msg)
         ~on_decide:(fun v -> decided m ~view_id v)
         proposal
@@ -234,7 +251,7 @@ and request_join m ~contact =
 let restart m ?recovery () =
   let proto =
     Protocol.create_joiner ~me:m.me ?recovery ~semantic:m.semantic ~tracer:m.tracer
-      ?metrics:m.metrics ~clock:m.clock ~suspects:m.host.suspects ()
+      ?metrics:m.metrics ~clock:m.clock ~suspects:m.suspects ()
   in
   (match m.state_transfer with Some f -> Protocol.set_state_transfer proto f | None -> ());
   stop_consensus m;
@@ -270,7 +287,11 @@ let on_cons m ~src ~view_id msg =
 let on_suspicion m =
   if (not m.down) && Protocol.alive m.proto then begin
     Protocol.notify_suspicion_change m.proto;
-    let leave = m.host.suspected () in
+    let suspected = m.host.suspected () in
+    let leave =
+      suspected
+      @ List.filter (fun p -> evicting m p && not (List.mem p suspected)) (view m).View.members
+    in
     if leave <> [] then Protocol.trigger_view_change m.proto ~leave ();
     drain m
   end
@@ -383,19 +404,73 @@ let check_divergence m =
       end
       else reset_streak m
 
+(* Digest gossip: once a period, a member of a settled view sends its
+   digest to every other member of it. *)
+let send_digests m =
+  if is_member m && not (is_blocked m) then begin
+    let v = view m in
+    let d = digest m in
+    List.iter
+      (fun p -> if p <> m.me then m.host.send_digest ~dst:p ~view_id:v.View.id d)
+      v.View.members
+  end
+
+(* One tick of the laggard rule: purging and the driver's flow control
+   come first, reconfiguration is the last resort (§1, §3.2). A peer
+   whose link has been over the driver's limit for [report_after] is
+   reported once per episode; at [evict_after] it is suspected, which
+   hands it to the ordinary suspicion → view-change path, so the group
+   agrees on a view without it. The suspicion event repeats every tick
+   while the laggard is still in the view: a view change already
+   underway absorbs the first one without excluding it. *)
+let check_laggards m { report_after; evict_after } =
+  if not m.down then
+    List.iter
+      (fun p ->
+        let over, pending = m.host.lag p in
+        if over <= 0.0 then begin
+          Hashtbl.remove m.reported p;
+          Hashtbl.remove m.evicting p
+        end
+        else begin
+          if over >= report_after && not (Hashtbl.mem m.reported p) then begin
+            Hashtbl.replace m.reported p ();
+            Metrics.Counter.incr m.slow_reports;
+            Log.warn (fun f ->
+                f "member %d: peer %d over the limit for %.2fs (%d pending)" m.me p over pending);
+            if Trace.enabled m.tracer then
+              Trace.emit m.tracer
+                (Trace.Backpressure { node = m.me; peer = p; stage = "reported"; pending })
+          end;
+          match evict_after with
+          | Some deadline when over >= deadline && is_member m && View.mem p (view m) ->
+              if not (Hashtbl.mem m.evicting p) then begin
+                Hashtbl.replace m.evicting p ();
+                Log.warn (fun f ->
+                    f "member %d: evicting slow peer %d after %.2fs over the limit" m.me p over);
+                if Trace.enabled m.tracer then
+                  Trace.emit m.tracer (Trace.Suspect { node = m.me; suspect = p })
+              end;
+              on_suspicion m
+          | Some _ | None -> ()
+        end)
+      m.contacts
+
 let create engine ~me ~peers ~clock ?(semantic = true) ?(tracer = Trace.nop) ?metrics ?recovery
-    ?park_timeout ?(merge = true) ?divergence ?stability_period
+    ?park_timeout ?(merge = true) ?divergence ?laggard ?stability_period
     ?(merge_spans = Metrics.Histogram.detached ())
-    ?(divergences = Metrics.Counter.detached ()) host =
+    ?(divergences = Metrics.Counter.detached ()) ?(slow_reports = Metrics.Counter.detached ())
+    (host : _ host) =
+  let evicting = Hashtbl.create 7 in
+  let suspects p = Hashtbl.mem evicting p || host.suspects p in
   let proto =
     match recovery with
     | Some _ ->
-        Protocol.create_joiner ~me ?recovery ~semantic ~tracer ?metrics ~clock
-          ~suspects:host.suspects ()
+        Protocol.create_joiner ~me ?recovery ~semantic ~tracer ?metrics ~clock ~suspects ()
     | None ->
         Protocol.create ~me
           ~initial_view:(View.initial ~members:peers)
-          ~semantic ~tracer ?metrics ~clock ~suspects:host.suspects ()
+          ~semantic ~tracer ?metrics ~clock ~suspects ()
   in
   let m =
     {
@@ -403,6 +478,7 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(tracer = Trace.nop) ?me
       engine;
       clock;
       host;
+      suspects;
       semantic;
       tracer;
       metrics;
@@ -425,6 +501,9 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(tracer = Trace.nop) ?me
       div_last = None;
       heal_pending = false;
       divergences;
+      reported = Hashtbl.create 7;
+      evicting;
+      slow_reports;
     }
   in
   let every ?start period f =
@@ -452,6 +531,12 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(tracer = Trace.nop) ?me
      peer's latest report had time to arrive. *)
   (match divergence with
   | None -> ()
-  | Some { period; _ } -> every ~start:(period /. 2.0) period (fun () -> check_divergence m));
+  | Some { period; _ } ->
+      every period (fun () -> send_digests m);
+      every ~start:(period /. 2.0) period (fun () -> check_divergence m));
+  (match laggard with
+  | None -> ()
+  | Some policy ->
+      every (Float.max 0.01 (policy.report_after /. 4.0)) (fun () -> check_laggards m policy));
   if Protocol.joining proto then start_join_nag m;
   m

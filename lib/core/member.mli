@@ -8,11 +8,12 @@
     consensus traffic stashed and replayed, or the host's centralised
     [propose]); suspicion → view change; the park deadline and the
     exclusion → probing-joiner rejoin policy with its contact-cycling
-    JOIN nag; merge timing; divergence detection and self-demotion;
-    stability gossip. Transport, detector, durability and recording
-    stay in the driver, reached through {!host}. Timers run on the
-    driver's {!Svs_sim.Engine}, armed only when their feature is
-    configured. *)
+    JOIN nag; merge timing; the divergence digest gossip, detection
+    and self-demotion; the laggard rule (report, then evict a peer the
+    driver measures over its limit); stability gossip. Transport,
+    detector, measurements, durability and recording stay in the
+    driver, reached through {!host}. Timers run on the driver's
+    {!Svs_sim.Engine}, armed only when their feature is configured. *)
 
 type 'p host = {
   send_wire : dst:int -> 'p Types.wire -> unit;
@@ -36,12 +37,37 @@ type 'p host = {
   rejoin : unit -> unit;
       (** Swap in a recovering joiner: call {!restart} with the
           recovery the driver can vouch for, and revive the transport. *)
+  lag : int -> float * int;
+      (** For the laggard rule: how long (seconds) the link to a peer
+          has been continuously over the driver's limit, [0.] when it
+          is not, and how much is pending on it (for the trace). *)
+  send_digest : dst:int -> view_id:int -> int -> unit;
+      (** Digest gossip: deliver this member's digest to [dst], which
+          hands it to {!note_digest}. *)
 }
 
 type divergence = {
-  period : float;  (** Evaluation period. *)
-  rounds : int;  (** Consecutive identical disagreements that convict. *)
+  period : float;  (** Gossip and evaluation period. *)
+  rounds : int;
+      (** Consecutive identical disagreements that convict. Only the
+          {e same} disagreement (both digests unchanged) extends the
+          streak, so floor lag under in-flight traffic never convicts
+          a healthy member. *)
   heal : bool;  (** Self-demote on conviction; [false] only counts. *)
+}
+
+(** Reconfiguration as a last resort (§1, §3.2): a peer whose link has
+    been over the driver's limit (see [lag]) for [report_after]
+    seconds is reported once per episode — [slow_reports], a
+    [Backpressure] trace event with stage ["reported"], a warning —
+    and at [evict_after] seconds it is suspected: the group agrees on
+    a view without it through the ordinary suspicion → view-change
+    path. The eviction's suspicion lasts as long as the lag, so the
+    peer's own heartbeats cannot rescind it; the episode ends when the
+    lag reads [0.]. *)
+type laggard = {
+  report_after : float;
+  evict_after : float option;  (** [None]: report but never evict. *)
 }
 
 type 'p t
@@ -58,17 +84,22 @@ val create :
   ?park_timeout:float ->
   ?merge:bool ->
   ?divergence:divergence ->
+  ?laggard:laggard ->
   ?stability_period:float ->
   ?merge_spans:Svs_telemetry.Metrics.Histogram.t ->
   ?divergences:Svs_telemetry.Metrics.Counter.t ->
+  ?slow_reports:Svs_telemetry.Metrics.Counter.t ->
   'p host ->
   'p t
 (** A member of the initial view [peers], or with [recovery] a joiner
     that nags [peers] for readmission. [clock] stamps blocked spans,
     park deadlines and merge spans. [park_timeout] arms the quorum-loss
     watchdog; [merge] (default [true]) makes a parked, or cut-off and
-    excluded, member rejoin. [merge_spans] and [divergences] are the
-    driver's instruments (detached by default). *)
+    excluded, member rejoin. [divergence] arms the digest gossip (sent
+    every [period]) and its evaluation (half a period later).
+    [laggard] arms the laggard rule, ticking every [report_after / 4].
+    [merge_spans], [divergences] and [slow_reports] are the driver's
+    instruments (detached by default). *)
 
 val protocol : 'p t -> 'p Protocol.t
 (** The current incarnation's protocol (replaced by {!restart}). *)
@@ -94,6 +125,11 @@ val parks : 'p t -> int
 val divergences : 'p t -> int
 
 val divergence_streak : 'p t -> int
+
+val slow_reports : 'p t -> int
+
+val evicting : 'p t -> int -> bool
+(** The laggard rule is evicting this peer (its episode is open). *)
 
 val multicast :
   'p t -> ?ann:Svs_obs.Annotation.t -> 'p -> ('p Types.data, [ `Blocked | `Not_member ]) result

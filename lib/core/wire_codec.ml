@@ -30,13 +30,37 @@ let pair_codec a b =
         (x, y));
   }
 
-let write_msg_id = Svs_obs.Obs_codec.write_msg_id
+let write_msg_id w (id : Msg_id.t) =
+  W.varint w id.Msg_id.sender;
+  W.varint w id.Msg_id.sn
 
-let read_msg_id = Svs_obs.Obs_codec.read_msg_id
+let read_msg_id r =
+  let sender = R.varint r in
+  let sn = R.varint r in
+  Msg_id.make ~sender ~sn
 
-let write_annotation = Svs_obs.Obs_codec.write_annotation
+let write_annotation w = function
+  | Annotation.Unrelated -> W.uint8 w 0
+  | Annotation.Tag tag ->
+      W.uint8 w 1;
+      W.zigzag w tag
+  | Annotation.Enum preds ->
+      W.uint8 w 2;
+      W.list w write_msg_id preds
+  | Annotation.Kenum bm ->
+      W.uint8 w 3;
+      W.varint w (Bitvec.k bm);
+      W.raw w (Bitvec.to_bytes bm)
 
-let read_annotation = Svs_obs.Obs_codec.read_annotation
+let read_annotation r =
+  match R.uint8 r with
+  | 0 -> Annotation.Unrelated
+  | 1 -> Annotation.Tag (R.zigzag r)
+  | 2 -> Annotation.Enum (R.list r read_msg_id)
+  | 3 ->
+      let k = R.varint r in
+      Annotation.Kenum (Bitvec.of_bytes ~k (R.raw r ((k + 7) / 8)))
+  | n -> raise (Codec.Malformed (Printf.sprintf "annotation tag %d" n))
 
 let write_view w (v : View.t) =
   W.varint w v.View.id;

@@ -104,22 +104,6 @@ let on_suspect t f = t.suspect_callbacks <- f :: t.suspect_callbacks
 
 let on_rescind t f = t.rescind_callbacks <- f :: t.rescind_callbacks
 
-(* Out-of-band suspicion: a layer with better evidence than silence —
-   e.g. the slow-member escalation, whose peer has been over the hard
-   backpressure watermark past its eviction deadline — forces the
-   suspicion through the normal callback path, so the view-change
-   machinery downstream cannot tell it apart from a timeout. A later
-   heartbeat from the peer rescinds it as usual (and adapts the
-   timeout upward, which is harmless). *)
-let force_suspect t p =
-  match find_peer t p with
-  | None -> ()
-  | Some st ->
-      if not st.suspected then begin
-        st.suspected <- true;
-        List.iter (fun f -> f st.peer) t.suspect_callbacks
-      end
-
 let timeout_of t p =
   match find_peer t p with
   | None -> invalid_arg "Heartbeat.timeout_of: unknown peer"

@@ -46,13 +46,6 @@ val on_suspect : t -> (int -> unit) -> unit
 val on_rescind : t -> (int -> unit) -> unit
 (** Called when a suspicion is rescinded by a late heartbeat. *)
 
-val force_suspect : t -> int -> unit
-(** Suspect a peer now, out of band, firing the {!on_suspect}
-    callbacks — for layers with better evidence than silence (e.g. a
-    slow-member policy whose peer sat over the hard backpressure
-    watermark past its eviction deadline). No-op for unknown or
-    already-suspected peers; a later heartbeat rescinds it normally. *)
-
 val timeout_of : t -> int -> float
 (** Current adaptive timeout for a peer (for tests/inspection). *)
 

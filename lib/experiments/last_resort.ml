@@ -14,7 +14,7 @@ type point = {
 }
 
 (* One run: 3 members; member 2 consumes at 100 msg/s but freezes
-   completely during [10, 10+freeze); overflow exclusion armed. *)
+   completely during [10, 10+freeze); the laggard rule armed. *)
 let run_one ~spec ~buffer ~backlog_limit ~freeze ~semantic =
   let messages = Spec.messages ~buffer spec in
   let engine = Engine.create ~seed:spec.Spec.seed () in
@@ -24,8 +24,7 @@ let run_one ~spec ~buffer ~backlog_limit ~freeze ~semantic =
       semantic;
       buffer_capacity = Some buffer;
       stability_period = Some 0.25;
-      overflow_exclusion =
-        Some { Group.backlog_limit; patience = 0.2; check_period = 0.05 };
+      laggard = Some { Group.backlog_limit; report_after = 0.2; evict_after = Some 0.2 };
     }
   in
   let cluster =
@@ -103,7 +102,7 @@ let sweep ?(spec = Spec.default) ?(buffer = 60) ?(backlog_limit = 60)
 
 let print ?(spec = Spec.default) ppf () =
   Format.fprintf ppf
-    "A5: reconfiguration as a last resort (delivery queue 60, overflow exclusion at backlog 60 for 0.2 s; \
+    "A5: reconfiguration as a last resort (delivery queue 60, laggard eviction at backlog 60 for 0.2 s; \
      one freeze of the given length)@.";
   let points = sweep ~spec () in
   Series.render_table ppf

@@ -120,14 +120,14 @@ module Cw = Svs_codec.Codec.Writer
 module Cr = Svs_codec.Codec.Reader
 
 let write_msg write_p w { data; vc } =
-  Svs_obs.Obs_codec.write_msg_id w data.id;
-  Svs_obs.Obs_codec.write_annotation w data.ann;
+  Svs_core.Wire_codec.write_msg_id w data.id;
+  Svs_core.Wire_codec.write_annotation w data.ann;
   write_p w data.payload;
   Cw.list w (fun w v -> Cw.varint w v) (Array.to_list vc)
 
 let read_msg read_p r =
-  let id = Svs_obs.Obs_codec.read_msg_id r in
-  let ann = Svs_obs.Obs_codec.read_annotation r in
+  let id = Svs_core.Wire_codec.read_msg_id r in
+  let ann = Svs_core.Wire_codec.read_annotation r in
   let payload = read_p r in
   let vc = Array.of_list (Cr.list r Cr.varint) in
   { data = { id; payload; ann }; vc }

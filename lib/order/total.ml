@@ -114,24 +114,24 @@ module Cr = Svs_codec.Codec.Reader
 let write_msg write_p w = function
   | Mdata data ->
       Cw.uint8 w 0;
-      Svs_obs.Obs_codec.write_msg_id w data.id;
-      Svs_obs.Obs_codec.write_annotation w data.ann;
+      Svs_core.Wire_codec.write_msg_id w data.id;
+      Svs_core.Wire_codec.write_annotation w data.ann;
       write_p w data.payload
   | Morder { seq; id } ->
       Cw.uint8 w 1;
       Cw.varint w seq;
-      Svs_obs.Obs_codec.write_msg_id w id
+      Svs_core.Wire_codec.write_msg_id w id
 
 let read_msg read_p r =
   match Cr.uint8 r with
   | 0 ->
-      let id = Svs_obs.Obs_codec.read_msg_id r in
-      let ann = Svs_obs.Obs_codec.read_annotation r in
+      let id = Svs_core.Wire_codec.read_msg_id r in
+      let ann = Svs_core.Wire_codec.read_annotation r in
       let payload = read_p r in
       Mdata { id; payload; ann }
   | 1 ->
       let seq = Cr.varint r in
-      let id = Svs_obs.Obs_codec.read_msg_id r in
+      let id = Svs_core.Wire_codec.read_msg_id r in
       Morder { seq; id }
   | n -> raise (Svs_codec.Codec.Malformed (Printf.sprintf "total-order tag %d" n))
 

@@ -17,17 +17,13 @@ let src = Logs.Src.create "svs.rt" ~doc:"SVS real-time node"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Graceful escalation for a persistently slow member, staged on the
-   time its link has spent continuously over the hard watermark:
-   first the transport stalls the link and sheds obsolete frames (the
-   backpressure policy), then the node reports it (log + trace +
-   counter), and finally — if the operator allowed it — suspects it,
-   which hands it to the ordinary suspicion → view-change path: the
-   group agrees on a view without the laggard rather than one node
-   unilaterally expelling it. *)
-type slow_member_policy = {
+(* The member shell's laggard rule, measured on the time a link has
+   spent continuously over the hard watermark: the transport stalls
+   the link and sheds obsolete frames first, then the member reports
+   the peer, and finally evicts it. *)
+type slow_member_policy = Member.laggard = {
   report_after : float;
-  evict_after : float option;  (** [None]: never escalate to suspicion. *)
+  evict_after : float option;
 }
 
 let default_slow_member = { report_after = 2.0; evict_after = Some 15.0 }
@@ -43,8 +39,8 @@ type config = {
       (* Mesh batching horizon (seconds); 0. flushes on every send. *)
   hostile : Tcp_mesh.hostile_policy;
   divergence_period : float option;
-      (* Check the digest gossip (piggybacked on heartbeats) at this
-         period; None disables divergence self-healing. *)
+      (* Gossip and check the state digest at this period; None
+         disables divergence self-healing. *)
   backpressure : Tcp_mesh.backpressure_policy;
   slow_member : slow_member_policy;
   max_frame : int;
@@ -76,13 +72,13 @@ let default_config =
 let divergence_rounds = 3
 
 (* Packets on the mesh: protocol wire messages, consensus messages for
-   a view-change instance, heartbeats. A heartbeat carries the
-   sender's replicated-state digest — the divergence gossip rides the
-   liveness traffic for free. *)
+   a view-change instance, heartbeats, and the replicated-state digest
+   gossip (only with [divergence_period] set). *)
 type 'p packet =
   | Proto of 'p Types.wire
   | Cons of { view_id : int; msg : 'p Types.proposal Ct.msg }
-  | Beat of { view_id : int; digest : int }
+  | Beat
+  | Digest of { view_id : int; digest : int }
 
 let write_packet pc w = function
   | Proto wire ->
@@ -92,10 +88,10 @@ let write_packet pc w = function
       Codec.Writer.uint8 w 1;
       Codec.Writer.varint w view_id;
       Ct.write_msg (Wire_codec.write_proposal pc) w msg
-  | Beat { view_id; digest } ->
-      Codec.Writer.uint8 w 2;
-      (* Zigzag: a joiner's placeholder view id is negative. *)
-      Codec.Writer.zigzag w view_id;
+  | Beat -> Codec.Writer.uint8 w 2
+  | Digest { view_id; digest } ->
+      Codec.Writer.uint8 w 3;
+      Codec.Writer.varint w view_id;
       Codec.Writer.zigzag w digest
 
 let read_packet pc r =
@@ -105,10 +101,11 @@ let read_packet pc r =
       let view_id = Codec.Reader.varint r in
       let msg = Ct.read_msg (Wire_codec.read_proposal pc) r in
       Cons { view_id; msg }
-  | 2 ->
-      let view_id = Codec.Reader.zigzag r in
+  | 2 -> Beat
+  | 3 ->
+      let view_id = Codec.Reader.varint r in
       let digest = Codec.Reader.zigzag r in
-      Beat { view_id; digest }
+      Digest { view_id; digest }
   | n -> raise (Codec.Malformed (Printf.sprintf "packet tag %d" n))
 
 (* How many sequence numbers one Lease record covers. Leases are
@@ -137,20 +134,9 @@ type 'p t = {
   tracer : Trace.t;
   peers_ids : int list;
   suspicions : Metrics.Counter.t;
-  c_slow_reports : Metrics.Counter.t;
-  slow_member : slow_member_policy;
-  (* Admission control: one-shot callbacks fired by the escalation
-     timer once {!would_block} clears. *)
+  (* Admission control: one-shot callbacks fired by the ready timer
+     once {!would_block} clears. *)
   mutable ready_callbacks : (unit -> unit) list;
-  (* Peers currently flagged by the slow-member report stage (cleared
-     when their link drops back under the hard watermark). *)
-  reported_slow : (int, unit) Hashtbl.t;
-  (* Peers the escalation is evicting. Their heartbeats are ignored —
-     a slow consumer is alive and still beating, so without this the
-     beat would rescind the forced suspicion before the view change
-     completes. Cleared once the link drains (the peer recovered, or
-     its backlog was dropped when a view without it installed). *)
-  evicting : (int, unit) Hashtbl.t;
 }
 
 let id t = t.me
@@ -240,11 +226,8 @@ let rejoin t =
 let on_packet t ~src packet =
   if not t.stopped then
     match packet with
-    | Beat { view_id; digest } ->
-        if not (Hashtbl.mem t.evicting src) then begin
-          Member.note_digest t.core ~src ~view_id digest;
-          Heartbeat.on_heartbeat t.hb ~src
-        end
+    | Beat -> Heartbeat.on_heartbeat t.hb ~src
+    | Digest { view_id; digest } -> Member.note_digest t.core ~src ~view_id digest
     | Proto wire ->
         (match wire with
         | Types.Wdata d ->
@@ -308,65 +291,20 @@ let on_ready t f = t.ready_callbacks <- f :: t.ready_callbacks
 
 let shed_frames t = Tcp_mesh.shed_frames t.mesh
 
-let slow_reports t = Metrics.Counter.value t.c_slow_reports
+let slow_reports t = Member.slow_reports t.core
 
 let pause_reads t = Tcp_mesh.pause_reads t.mesh
 
 let resume_reads t = Tcp_mesh.resume_reads t.mesh
 
-(* One tick of the slow-member escalation: stage transitions are
-   driven by the time each link has spent continuously over the hard
-   watermark (tracked by the mesh), and the admission-control ready
-   callbacks fire here once the mesh drains back under its gates. *)
-let check_slow_members t =
+(* Admission control's ready callbacks fire once the mesh drains back
+   under its gates. *)
+let fire_ready t =
   if t.ready_callbacks <> [] && not (would_block t) then begin
     let cbs = List.rev t.ready_callbacks in
     t.ready_callbacks <- [];
     List.iter (fun f -> f ()) cbs
-  end;
-  let p = t.slow_member in
-  List.iter
-    (fun (st : Tcp_mesh.peer_stat) ->
-      if st.Tcp_mesh.over_hard_s <= 0.0 then begin
-        Hashtbl.remove t.reported_slow st.Tcp_mesh.peer;
-        Hashtbl.remove t.evicting st.Tcp_mesh.peer
-      end
-      else begin
-        if st.Tcp_mesh.over_hard_s >= p.report_after
-           && not (Hashtbl.mem t.reported_slow st.Tcp_mesh.peer)
-        then begin
-          Hashtbl.replace t.reported_slow st.Tcp_mesh.peer ();
-          Metrics.Counter.incr t.c_slow_reports;
-          Log.warn (fun m ->
-              m "node %d: peer %d over the hard watermark for %.1fs (%d bytes pending, %d shed)"
-                t.me st.Tcp_mesh.peer st.Tcp_mesh.over_hard_s st.Tcp_mesh.pending
-                st.Tcp_mesh.shed);
-          if Trace.enabled t.tracer then
-            Trace.emit t.tracer
-              (Trace.Backpressure
-                 {
-                   node = t.me;
-                   peer = st.Tcp_mesh.peer;
-                   stage = "reported";
-                   pending = st.Tcp_mesh.pending;
-                 })
-        end;
-        match p.evict_after with
-        | Some deadline when st.Tcp_mesh.over_hard_s >= deadline ->
-            (* Hand the laggard to the ordinary suspicion machinery:
-               the group agrees on a view without it, rather than one
-               node unilaterally expelling it. Its heartbeats are
-               muted while [evicting] so the (alive, just unreadable)
-               peer cannot rescind the suspicion mid-view-change. *)
-            if not (Hashtbl.mem t.evicting st.Tcp_mesh.peer) then
-              Log.warn (fun m ->
-                  m "node %d: escalating slow peer %d to suspicion after %.1fs over watermark"
-                    t.me st.Tcp_mesh.peer st.Tcp_mesh.over_hard_s);
-            Hashtbl.replace t.evicting st.Tcp_mesh.peer ();
-            Heartbeat.force_suspect t.hb st.Tcp_mesh.peer
-        | Some _ | None -> ()
-      end)
-    (Tcp_mesh.peer_stats t.mesh)
+  end
 
 let deliver t =
   if t.stopped then None
@@ -441,7 +379,7 @@ let status_json t =
               p.Tcp_mesh.attempts p.Tcp_mesh.written_off p.Tcp_mesh.quarantined hb_timeout
               (Tcp_mesh.stage_name p.Tcp_mesh.stage)
               p.Tcp_mesh.shed p.Tcp_mesh.over_hard_s
-              (Hashtbl.mem t.evicting p.Tcp_mesh.peer))
+              (Member.evicting t.core p.Tcp_mesh.peer))
           (List.filter (fun (p : Tcp_mesh.peer_stat) -> p.Tcp_mesh.peer <> t.me)
              (Tcp_mesh.peer_stats t.mesh))));
   Buffer.contents b
@@ -571,6 +509,13 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
           on_synced v app);
       parked = (fun () -> ());
       rejoin = (fun () -> with_t rejoin);
+      lag =
+        (fun p ->
+          List.fold_left
+            (fun acc (st : Tcp_mesh.peer_stat) ->
+              if st.peer = p then (st.over_hard_s, st.pending) else acc)
+            (0.0, 0) (Tcp_mesh.peer_stats mesh));
+      send_digest = (fun ~dst ~view_id digest -> send ~dst (Digest { view_id; digest }));
     }
   in
   (* The previous incarnation's streams died with it, so a node
@@ -603,12 +548,13 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
         (Option.map
            (fun period -> { Member.period; rounds = divergence_rounds; heal = true })
            config.divergence_period)
-      ?stability_period:config.stability_period
+      ~laggard:config.slow_member ?stability_period:config.stability_period
       ~merge_spans:
         (match config.metrics with
         | None -> Metrics.Histogram.detached ()
         | Some reg -> Metrics.histogram reg ~labels:node_label "rt_merge_seconds")
       ~divergences:(counter "svs_divergence_detected_total")
+      ~slow_reports:(counter "rt_slow_member_reports_total")
       host
   in
   (match recovered with
@@ -618,7 +564,7 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
   Option.iter (Member.set_state_digest core) state_digest;
   let hb =
     Heartbeat.create engine config.heartbeat ~me ~peers:members ~send_heartbeat:(fun ~dst ->
-        send ~dst (Beat { view_id = (Member.view core).View.id; digest = Member.digest core }))
+        send ~dst Beat)
   in
   hb_ref := Some hb;
   let t =
@@ -637,11 +583,7 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       tracer = config.tracer;
       peers_ids = members;
       suspicions = counter "rt_suspicions_total";
-      c_slow_reports = counter "rt_slow_member_reports_total";
-      slow_member = config.slow_member;
       ready_callbacks = [];
-      reported_slow = Hashtbl.create 7;
-      evicting = Hashtbl.create 7;
     }
   in
   t_ref := Some t;
@@ -652,8 +594,8 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       Member.on_suspicion core);
   Heartbeat.on_rescind hb (fun _ -> Member.on_suspicion core);
   (* Advance the automata's virtual clock to wall time: consensus,
-     heartbeats and the member shell's park, stability, divergence and
-     join timers all run on it. *)
+     heartbeats and the member shell's park, stability, divergence,
+     laggard and join timers all run on it. *)
   ignore
     (Loop.every loop ~period:0.01 (fun () ->
          if not t.stopped then begin
@@ -662,12 +604,11 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
          end;
          not t.stopped)
       : Loop.timer);
-  (* Slow-member escalation and admission-control ready callbacks:
-     stage transitions depend only on mesh state the tick reads, so a
-     quarter-second cadence is plenty. *)
+  (* Admission-control ready callbacks: a quarter-second cadence is
+     plenty. *)
   ignore
     (Loop.every loop ~period:0.25 (fun () ->
-         if not t.stopped then check_slow_members t;
+         if not t.stopped then fire_ready t;
          not t.stopped)
       : Loop.timer);
   (match wal with

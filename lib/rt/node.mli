@@ -17,21 +17,19 @@
 
 type 'p t
 
-(** Graceful escalation for a persistently slow member, staged on the
-    time its link has spent continuously over the hard backpressure
-    watermark. Stage 1 is the transport's own flow control (stall +
-    semantic shedding); at [report_after] seconds the node reports the
-    laggard ([rt_slow_member_reports_total], a [Backpressure] trace
-    event with stage ["reported"], a warning log); at [evict_after]
-    seconds it forces a suspicion, handing the peer to the ordinary
-    suspicion → view-change path — the group agrees on a view without
-    it instead of one node expelling it unilaterally. While the
-    eviction is in flight the peer's heartbeats are muted (a slow
-    consumer is alive and still beating; they would rescind the
-    suspicion), un-muted as soon as its link drains. *)
-type slow_member_policy = {
+(** The member shell's laggard rule ({!Svs_core.Member.laggard}),
+    measured on the time a link has spent continuously over the hard
+    backpressure watermark. Stage 1 is the transport's own flow
+    control (stall + semantic shedding); at [report_after] seconds the
+    member reports the laggard ([rt_slow_member_reports_total], a
+    [Backpressure] trace event with stage ["reported"], a warning
+    log); at [evict_after] seconds it suspects the peer until its link
+    drains, handing it to the ordinary suspicion → view-change path —
+    the group agrees on a view without it instead of one node
+    expelling it unilaterally. *)
+type slow_member_policy = Svs_core.Member.laggard = {
   report_after : float;
-  evict_after : float option;  (** [None]: report but never suspect. *)
+  evict_after : float option;  (** [None]: report but never evict. *)
 }
 
 val default_slow_member : slow_member_policy
@@ -73,17 +71,17 @@ type config = {
           alike) escalate to link resets and peer quarantine; see
           {!Tcp_mesh.hostile_policy}. *)
   divergence_period : float option;
-      (** Divergence self-healing. Every heartbeat already carries the
-          sender's replicated-state digest (installed view, merged
-          floors, application digest via [state_digest]); when set, a
-          timer at this period compares them. A quiescent member whose
+      (** Divergence self-healing. When set, every member sends its
+          replicated-state digest (installed view, merged floors,
+          application digest via [state_digest]) to the rest of its
+          view at this period, and compares the reports half a period
+          later. A quiescent member whose
           digest disagrees with a unanimous rest-of-view for several
           consecutive rounds concludes {e it} is the corrupt one:
           it self-demotes (asks the group to exclude it, counted in
           [svs_divergence_detected_total] and traced as [Divergence])
           and re-enters through JOIN/SYNC with state transfer. [None]
-          (default) disables the check; the digests still ride the
-          heartbeats. *)
+          (default) disables the gossip and the check. *)
   backpressure : Tcp_mesh.backpressure_policy;
       (** Outbound flow control: watermarks, the mesh-wide budget and
           the semantic-shedding switch (see

@@ -52,15 +52,14 @@ dune runtest
 
 # Run a chaos sweep through its machine-readable gate: --json makes
 # the verdict scriptable, and a violation fails loudly here with the
-# exact replay line (seed + scenario + mode) for each failing run.
+# replay line each failing run carries in its "replay" field.
 chaos_json() {
   if out=$(dune exec bin/svs_chaos.exe -- --json "$@"); then
     printf '%s\n' "$out"
   else
     printf '%s\n' "$out"
     echo "ci: chaos sweep FAILED; replay each failing run with:" >&2
-    printf '%s' "$out" | tr '{' '\n' | grep '"ok":false' | sed -n \
-      's/.*"scenario":"\([^"]*\)","mode":"\([^"]*\)","seed":\([0-9]*\).*/  dune exec bin\/svs_chaos.exe -- --scenarios \1 --modes \2 --seeds 1 --seed-base \3/p' >&2
+    printf '%s' "$out" | grep -o '"replay":"[^"]*"' | cut -d'"' -f4 | sed 's/^/  /' >&2
     exit 1
   fi
 }

@@ -499,6 +499,31 @@ let test_rows_judged_apart () =
       Alcotest.(check int) (name ^ ": one run judged eligible") 1 v.eligible)
     [ "no-merge"; "no-recovery" ]
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A caught self-test run's replay line reruns it under the same
+   self-test, at the same non-default horizon, in the report and in
+   the printed failure alike. *)
+let test_replay_names_self_test () =
+  let t = List.find (fun (t : Self_test.t) -> t.name = "drop-cover") Self_test.all in
+  let config = { Runner.default_config with horizon = 8.0 } in
+  match
+    Self_test.run ~scenarios:[ Scenario.crash ] ~modes:[ Oracle.Svs ] ~config ~seeds:[ 1 ] t
+  with
+  | [ Self_test.Sweep o ] ->
+      let r = o.Runner.report in
+      Alcotest.(check bool) "caught" false (Oracle.ok r);
+      Alcotest.(check string) "replay line"
+        "svs_chaos --scenarios crash --modes svs --seeds 1 --seed-base 1 --self-test \
+         drop-cover --horizon 8"
+        (Oracle.replay r);
+      Alcotest.(check bool) "printed with the failure" true
+        (contains (Format.asprintf "%a" Oracle.pp_report r) ("replay: " ^ Oracle.replay r))
+  | runs -> Alcotest.failf "%d runs, expected one sweep run" (List.length runs)
+
 let () =
   Alcotest.run "svs_chaos"
     [
@@ -547,5 +572,6 @@ let () =
           Alcotest.test_case "every sweep row passes" `Slow test_sweep_rows_pass;
           Alcotest.test_case "defence on fails the rule" `Slow test_defence_on_fails_rule;
           Alcotest.test_case "rows judged apart" `Slow test_rows_judged_apart;
+          Alcotest.test_case "replay names the self-test" `Quick test_replay_names_self_test;
         ] );
     ]

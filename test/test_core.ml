@@ -918,8 +918,7 @@ let test_group_overflow_exclusion () =
     {
       Group.default_config with
       buffer_capacity = Some 5;
-      overflow_exclusion =
-        Some { Group.backlog_limit = 20; patience = 0.1; check_period = 0.02 };
+      laggard = Some { Group.backlog_limit = 20; report_after = 0.1; evict_after = Some 0.1 };
     }
   in
   let cluster =
@@ -1371,36 +1370,70 @@ let test_purge_enum_drops_late_predecessor () =
 (* Member: the divergence rule, driven directly                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Member 0 of view {0,1,2} over a recording host: no transport and no
-   engine run — the test feeds peer digests and runs the divergence
-   rounds by hand. [backlog] is the driver's held-back data. *)
-let member_harness ?(heal = true) ~rounds () =
-  let inits = ref 0 in
-  let backlog = ref 0 in
+(* A recording host for member 0 of view {0,1,2}: no transport. It
+   records the leave list of every INIT sent (one per peer), every
+   digest's destination and every proposal (the centralised [propose]
+   path), and answers with the driver's held-back data, the detector's
+   suspected set and each peer's lag. *)
+type fake = {
+  inits : int ref;
+  leaves : int list list ref;
+  digests : int list ref;
+  proposals : int Types.proposal list ref;
+  backlog : int ref;
+  suspected : int list ref;
+  lag : float array;
+}
+
+let fake_host () =
+  let f =
+    {
+      inits = ref 0;
+      leaves = ref [];
+      digests = ref [];
+      proposals = ref [];
+      backlog = ref 0;
+      suspected = ref [];
+      lag = Array.make 3 0.0;
+    }
+  in
   let host =
     {
       Member.send_wire =
-        (fun ~dst:_ wire -> match wire with Types.Winit _ -> incr inits | _ -> ());
+        (fun ~dst:_ wire ->
+          match wire with
+          | Types.Winit { leave; _ } ->
+              incr f.inits;
+              f.leaves := leave :: !(f.leaves)
+          | _ -> ());
       send_cons = (fun ~dst:_ ~view_id:_ _ -> ());
-      suspects = (fun _ -> false);
-      suspected = (fun () -> []);
-      propose = None;
-      backlog = (fun () -> !backlog);
+      suspects = (fun p -> List.mem p !(f.suspected));
+      suspected = (fun () -> !(f.suspected));
+      propose = Some (fun ~view_id:_ proposal -> f.proposals := proposal :: !(f.proposals));
+      backlog = (fun () -> !(f.backlog));
       deliverable = (fun () -> ());
       installed = (fun _ -> ());
       excluded = (fun _ ~rejoin:_ -> ());
       synced = (fun _ _ -> ());
       parked = (fun () -> ());
       rejoin = (fun () -> ());
+      lag = (fun p -> (f.lag.(p), 100));
+      send_digest = (fun ~dst ~view_id:_ _ -> f.digests := dst :: !(f.digests));
     }
   in
+  (f, host)
+
+(* No engine run: the test feeds peer digests and runs the divergence
+   rounds by hand. *)
+let member_harness ?(heal = true) ~rounds () =
+  let f, host = fake_host () in
   let m =
     Member.create (Engine.create ()) ~me:0 ~peers:[ 0; 1; 2 ]
       ~clock:(fun () -> 0.0)
       ~divergence:{ Member.period = 1.0; rounds; heal }
       host
   in
-  (m, inits, backlog)
+  (m, f.inits, f.backlog)
 
 (* Both peers report [digest] for the member's current view. *)
 let report m digest =
@@ -1481,6 +1514,107 @@ let test_member_no_heal_counts_only () =
   Member.check_divergence m;
   Member.check_divergence m;
   Alcotest.(check int) "keeps counting" 2 (Member.divergences m)
+
+(* The laggard rule on the engine: it ticks every [report_after / 4] =
+   0.1 s and reads the fake host's lag. *)
+let laggard_harness ~evict_after =
+  let f, host = fake_host () in
+  let e = Engine.create () in
+  let m =
+    Member.create e ~me:0 ~peers:[ 0; 1; 2 ]
+      ~clock:(fun () -> Engine.now e)
+      ~laggard:{ Member.report_after = 0.4; evict_after }
+      host
+  in
+  (m, f, e)
+
+let test_member_laggard_reported_once () =
+  let m, f, e = laggard_harness ~evict_after:None in
+  f.lag.(2) <- 0.3;
+  Engine.run ~until:0.5 e;
+  Alcotest.(check int) "not yet" 0 (Member.slow_reports m);
+  f.lag.(2) <- 0.5;
+  Engine.run ~until:2.0 e;
+  Alcotest.(check int) "one report for the whole episode" 1 (Member.slow_reports m)
+
+let test_member_laggard_evicted () =
+  let m, f, e = laggard_harness ~evict_after:(Some 1.0) in
+  f.lag.(2) <- 0.9;
+  Engine.run ~until:0.5 e;
+  Alcotest.(check bool) "reported, not evicting" true
+    (Member.slow_reports m = 1 && not (Member.evicting m 2));
+  Alcotest.(check int) "no view change yet" 0 !(f.inits);
+  f.lag.(2) <- 1.0;
+  Engine.run ~until:0.65 e;
+  Alcotest.(check bool) "evicting" true (Member.evicting m 2);
+  (* The detector suspects nobody: the leave is the eviction's. *)
+  Alcotest.(check (list (list int))) "INIT leaving the laggard, to both peers" [ [ 2 ]; [ 2 ] ]
+    !(f.leaves);
+  Alcotest.(check bool) "the healthy peer is left alone" false (Member.evicting m 1)
+
+let test_member_laggard_never_evicted () =
+  let m, f, e = laggard_harness ~evict_after:None in
+  f.lag.(2) <- 100.0;
+  Engine.run ~until:5.0 e;
+  Alcotest.(check bool) "not evicting" false (Member.evicting m 2);
+  Alcotest.(check int) "no view change" 0 !(f.inits);
+  Alcotest.(check bool) "still an unblocked member" true
+    (Member.is_member m && not (Member.is_blocked m))
+
+(* A view change is underway (peer 1's INIT, leaving nobody) when the
+   laggard crosses [evict_after]; its heartbeat then rescinds the
+   detector's suspicion. The member still does not wait for the
+   laggard's PRED: it proposes the view without it once peer 1's PRED
+   arrives. *)
+let test_member_evicting_survives_rescind () =
+  let m, f, e = laggard_harness ~evict_after:(Some 1.0) in
+  f.suspected := [ 2 ];
+  Member.receive m ~src:1 (Types.Winit { view_id = 0; leave = []; join = [] });
+  Alcotest.(check bool) "blocked in peer 1's view change" true (Member.is_blocked m);
+  f.lag.(2) <- 1.0;
+  Engine.run ~until:0.15 e;
+  Alcotest.(check bool) "evicting" true (Member.evicting m 2);
+  f.suspected := [];
+  Member.on_suspicion m;
+  Alcotest.(check (list int)) "rescind triggers no proposal" []
+    (List.map (fun p -> p.Types.next_view.View.id) !(f.proposals));
+  Member.receive m ~src:1 (Types.Wpred { view_id = 0; msgs = [] });
+  match !(f.proposals) with
+  | [ p ] ->
+      Alcotest.(check (list int)) "the laggard is left out" [ 0; 1 ]
+        (List.sort compare p.Types.next_view.View.members)
+  | ps -> Alcotest.failf "%d proposals, expected 1" (List.length ps)
+
+let test_member_laggard_episode_clears () =
+  let m, f, e = laggard_harness ~evict_after:(Some 1.0) in
+  f.lag.(2) <- 1.0;
+  Engine.run ~until:0.15 e;
+  Alcotest.(check bool) "evicting" true (Member.evicting m 2);
+  f.lag.(2) <- 0.0;
+  Engine.run ~until:0.25 e;
+  Alcotest.(check bool) "lag 0 ends the eviction" false (Member.evicting m 2);
+  Alcotest.(check int) "one report so far" 1 (Member.slow_reports m);
+  f.lag.(2) <- 0.5;
+  Engine.run ~until:0.35 e;
+  Alcotest.(check int) "a new episode is reported again" 2 (Member.slow_reports m)
+
+let test_member_digest_gossip () =
+  let f, host = fake_host () in
+  let e = Engine.create () in
+  let m =
+    Member.create e ~me:0 ~peers:[ 0; 1; 2 ]
+      ~clock:(fun () -> Engine.now e)
+      ~divergence:{ Member.period = 1.0; rounds = 3; heal = true }
+      host
+  in
+  Engine.run ~until:1.01 e;
+  Alcotest.(check (list int)) "one digest to each other member" [ 1; 2 ]
+    (List.sort compare !(f.digests));
+  Engine.run ~until:2.01 e;
+  Alcotest.(check int) "once a period" 4 (List.length !(f.digests));
+  Member.receive m ~src:1 (Types.Winit { view_id = 0; leave = []; join = [] });
+  Engine.run ~until:3.01 e;
+  Alcotest.(check int) "none while blocked" 4 (List.length !(f.digests))
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -1568,6 +1702,16 @@ let () =
             test_member_synced_clears_divergence;
           Alcotest.test_case "no-heal counts without demoting" `Quick
             test_member_no_heal_counts_only;
+          Alcotest.test_case "laggard reported once per episode" `Quick
+            test_member_laggard_reported_once;
+          Alcotest.test_case "laggard evicted at evict_after" `Quick test_member_laggard_evicted;
+          Alcotest.test_case "no evict_after never evicts" `Quick
+            test_member_laggard_never_evicted;
+          Alcotest.test_case "eviction survives a detector rescind" `Quick
+            test_member_evicting_survives_rescind;
+          Alcotest.test_case "laggard episode clears at lag 0" `Quick
+            test_member_laggard_episode_clears;
+          Alcotest.test_case "digest gossip once a period" `Quick test_member_digest_gossip;
         ] );
       ( "purge-diff",
         [
