@@ -55,30 +55,24 @@ module Writer = struct
     if v < 0 || v > 0xFF then invalid_arg "Codec.Writer.uint8: out of range";
     Buffer.add_char t (Char.chr v)
 
+  (* LEB128 groups of a raw 63-bit pattern, with logical shifts: the
+     zigzag image of extreme ints sets the top bit, which looks
+     negative. A top-level function taking the buffer as an argument,
+     because a local recursive loop closing over it would allocate a
+     closure on every call (there is no flambda to lift it), and these
+     run several times per frame. *)
+  let rec groups t u =
+    if u land lnot 0x7F = 0 then Buffer.add_char t (Char.chr u)
+    else begin
+      Buffer.add_char t (Char.chr (0x80 lor (u land 0x7F)));
+      groups t (u lsr 7)
+    end
+
   let varint t v =
     if v < 0 then invalid_arg "Codec.Writer.varint: negative value";
-    let rec go v =
-      if v < 0x80 then Buffer.add_char t (Char.chr v)
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (v land 0x7F)));
-        go (v lsr 7)
-      end
-    in
-    go v
+    groups t v
 
-  let zigzag t v =
-    (* The zigzag image of extreme ints can set the top bit, which
-       looks negative: emit it as a raw 63-bit pattern with logical
-       shifts rather than through the non-negative [varint]. *)
-    let u = (v lsl 1) lxor (v asr (Sys.int_size - 1)) in
-    let rec go u =
-      if u land lnot 0x7F = 0 then Buffer.add_char t (Char.chr (u land 0x7F))
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (u land 0x7F)));
-        go (u lsr 7)
-      end
-    in
-    go u
+  let zigzag t v = groups t ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
 
   let float64 t v =
     let bits = Int64.bits_of_float v in
@@ -95,9 +89,15 @@ module Writer = struct
 
   let raw t s = Buffer.add_string t s
 
+  let rec each t f = function
+    | [] -> ()
+    | x :: rest ->
+        f t x;
+        each t f rest
+
   let list t f xs =
     varint t (List.length xs);
-    List.iter (f t) xs
+    each t f xs
 
   let option t f = function
     | None -> bool t false
@@ -143,14 +143,13 @@ module Reader = struct
     t.pos <- t.pos + 1;
     c
 
-  let varint t =
-    let rec go shift acc =
-      if shift > Sys.int_size - 1 then raise (Malformed "varint too long");
-      let b = uint8 t in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+  let rec varint_from t shift acc =
+    if shift > Sys.int_size - 1 then raise (Malformed "varint too long");
+    let b = uint8 t in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from t (shift + 7) acc
+
+  let varint t = varint_from t 0 0
 
   let zigzag t =
     let v = varint t in
@@ -179,12 +178,13 @@ module Reader = struct
 
   let raw t n = take t n
 
+  (* Elements must be decoded left to right. *)
+  let rec read_n t f i acc = if i = 0 then List.rev acc else read_n t f (i - 1) (f t :: acc)
+
   let list t f =
     let n = varint t in
     if n < 0 then raise (Malformed "negative list length");
-    (* Elements must be decoded left to right. *)
-    let rec go i acc = if i = 0 then List.rev acc else go (i - 1) (f t :: acc) in
-    go n []
+    read_n t f n []
 
   let option t f = if bool t then Some (f t) else None
 end

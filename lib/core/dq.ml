@@ -1,7 +1,9 @@
 (* Ring buffer of boxed nodes. Boxing buys stable handles: an index
    (Purge_index) can retain a node and tombstone it in O(1) without
    shifting the ring, and compactions move node pointers, never nodes,
-   so handles survive growth and rebuilds. *)
+   so handles survive growth and rebuilds. Free slots hold the queue's
+   own [empty] node rather than an option, so a push allocates only
+   its node and a pop hands back the node's value as it is. *)
 
 type 'a node = {
   mutable v : 'a option; (* None once removed (tombstone) *)
@@ -11,7 +13,8 @@ type 'a node = {
 type 'a handle = 'a node
 
 type 'a t = {
-  mutable data : 'a node option array;
+  empty : 'a node; (* fills every free slot; never pushed *)
+  mutable data : 'a node array;
   mutable head : int; (* index of front slot *)
   mutable slots : int; (* occupied slots: live nodes + tombstones *)
   mutable live : int;
@@ -23,7 +26,8 @@ type 'a t = {
 }
 
 let create () =
-  { data = Array.make 16 None; head = 0; slots = 0; live = 0; front_seq = -1; back_seq = 0 }
+  let empty = { v = None; seq = min_int } in
+  { empty; data = Array.make 16 empty; head = 0; slots = 0; live = 0; front_seq = -1; back_seq = 0 }
 
 let length t = t.live
 
@@ -40,14 +44,14 @@ let handle_get (n : 'a handle) = n.v
 (* Rebuild the ring into a fresh array of [ncap] slots, dropping every
    tombstone. Node records are reused, so handles stay valid. *)
 let rebuild t ncap =
-  let ndata = Array.make ncap None in
+  let ndata = Array.make ncap t.empty in
   let j = ref 0 in
   for i = 0 to t.slots - 1 do
-    match t.data.(index t i) with
-    | Some n when n.v <> None ->
-        ndata.(!j) <- Some n;
-        incr j
-    | Some _ | None -> ()
+    let n = t.data.(index t i) in
+    if n.v <> None then begin
+      ndata.(!j) <- n;
+      incr j
+    end
   done;
   t.data <- ndata;
   t.head <- 0;
@@ -63,7 +67,7 @@ let push_back_h t x =
   grow t;
   let n = { v = Some x; seq = t.back_seq } in
   t.back_seq <- t.back_seq + 1;
-  t.data.(index t t.slots) <- Some n;
+  t.data.(index t t.slots) <- n;
   t.slots <- t.slots + 1;
   t.live <- t.live + 1;
   n
@@ -75,7 +79,7 @@ let push_front_h t x =
   let n = { v = Some x; seq = t.front_seq } in
   t.front_seq <- t.front_seq - 1;
   t.head <- (t.head - 1 + capacity t) mod capacity t;
-  t.data.(t.head) <- Some n;
+  t.data.(t.head) <- n;
   t.slots <- t.slots + 1;
   t.live <- t.live + 1;
   n
@@ -95,78 +99,63 @@ let remove t (n : 'a handle) =
 let rec pop_front t =
   if t.slots = 0 then None
   else begin
-    let slot = t.data.(t.head) in
-    t.data.(t.head) <- None;
+    let n = t.data.(t.head) in
+    t.data.(t.head) <- t.empty;
     t.head <- index t 1;
     t.slots <- t.slots - 1;
-    match slot with
-    | Some n -> (
-        match n.v with
-        | Some x ->
-            n.v <- None;
-            t.live <- t.live - 1;
-            Some x
-        | None -> pop_front t)
-    | None -> assert false
+    match n.v with
+    | Some _ as x ->
+        n.v <- None;
+        t.live <- t.live - 1;
+        x
+    | None -> pop_front t
   end
 
 let rec peek_front t =
   if t.slots = 0 then None
   else
-    match t.data.(t.head) with
-    | Some n -> (
-        match n.v with
-        | Some _ as x -> x
-        | None ->
-            (* Shed the dead front slot; observably a no-op. *)
-            t.data.(t.head) <- None;
-            t.head <- index t 1;
-            t.slots <- t.slots - 1;
-            peek_front t)
-    | None -> assert false
+    match t.data.(t.head).v with
+    | Some _ as x -> x
+    | None ->
+        (* Shed the dead front slot; observably a no-op. *)
+        t.data.(t.head) <- t.empty;
+        t.head <- index t 1;
+        t.slots <- t.slots - 1;
+        peek_front t
 
 let get t i =
   if i < 0 || i >= t.live then invalid_arg "Dq.get: index out of bounds";
   let rec scan slot remaining =
-    match t.data.(index t slot) with
-    | Some n -> (
-        match n.v with
-        | Some x -> if remaining = 0 then x else scan (slot + 1) (remaining - 1)
-        | None -> scan (slot + 1) remaining)
-    | None -> assert false
+    match t.data.(index t slot).v with
+    | Some x -> if remaining = 0 then x else scan (slot + 1) (remaining - 1)
+    | None -> scan (slot + 1) remaining
   in
   scan 0 i
 
 let iter f t =
   for i = 0 to t.slots - 1 do
-    match t.data.(index t i) with
-    | Some n -> ( match n.v with Some x -> f x | None -> ())
-    | None -> assert false
+    match t.data.(index t i).v with Some x -> f x | None -> ()
   done
 
 let exists p t =
   let rec scan i =
     i < t.slots
     &&
-    match t.data.(index t i) with
-    | Some n -> ( match n.v with Some x -> p x || scan (i + 1) | None -> scan (i + 1))
-    | None -> assert false
+    match t.data.(index t i).v with Some x -> p x || scan (i + 1) | None -> scan (i + 1)
   in
   scan 0
 
 let filter_in_place p t =
   let removed = ref 0 in
   for i = 0 to t.slots - 1 do
-    match t.data.(index t i) with
-    | Some n -> (
-        match n.v with
-        | Some x ->
-            if not (p x) then begin
-              n.v <- None;
-              incr removed
-            end
-        | None -> ())
-    | None -> assert false
+    let n = t.data.(index t i) in
+    match n.v with
+    | Some x ->
+        if not (p x) then begin
+          n.v <- None;
+          incr removed
+        end
+    | None -> ()
   done;
   t.live <- t.live - !removed;
   (* The pass was O(slots) anyway: compact all tombstones now. *)
@@ -176,9 +165,7 @@ let filter_in_place p t =
 let to_list t =
   let acc = ref [] in
   for i = t.slots - 1 downto 0 do
-    match t.data.(index t i) with
-    | Some n -> ( match n.v with Some x -> acc := x :: !acc | None -> ())
-    | None -> assert false
+    match t.data.(index t i).v with Some x -> acc := x :: !acc | None -> ()
   done;
   !acc
 
@@ -187,9 +174,9 @@ let clear t =
      reuse the backing array — view changes must not throw away warmed
      capacity. *)
   for i = 0 to t.slots - 1 do
-    match t.data.(index t i) with Some n -> n.v <- None | None -> ()
+    (t.data.(index t i)).v <- None
   done;
-  Array.fill t.data 0 (Array.length t.data) None;
+  Array.fill t.data 0 (Array.length t.data) t.empty;
   t.head <- 0;
   t.slots <- 0;
   t.live <- 0

@@ -76,7 +76,6 @@ type 'p t = {
   inbox : (int * 'p data) Queue.t;
   mutable hb : Heartbeat.t option;
   mutable installed_cbs : (View.t -> unit) list;
-  mutable excluded_cbs : (View.t -> unit) list;
   mutable synced_cbs : (View.t -> string option -> unit) list;
 }
 
@@ -140,8 +139,6 @@ let divergence_events c =
 let set_state_digest m f = Member.set_state_digest m.core f
 
 let on_installed m f = m.installed_cbs <- f :: m.installed_cbs
-
-let on_excluded m f = m.excluded_cbs <- f :: m.excluded_cbs
 
 let on_synced m f = m.synced_cbs <- f :: m.synced_cbs
 
@@ -367,8 +364,6 @@ let restart c p ~recover =
   | Oracle -> unsuspect_when_excluded c p
   | Heartbeats hb_config -> start_heartbeats c m hb_config
 
-let park_member c p = Member.park (member c p).core
-
 let packet_size pc packet =
   match packet with
   | Beat -> 4
@@ -473,11 +468,7 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
         backlog = (fun () -> Queue.length inbox);
         deliverable = (fun () -> pump (self ()));
         installed = (fun v -> List.iter (fun f -> f v) (self ()).installed_cbs);
-        excluded =
-          (fun v ~rejoin:_ ->
-            let m = self () in
-            retire m;
-            List.iter (fun f -> f v) m.excluded_cbs);
+        excluded = (fun _ ~rejoin:_ -> retire (self ()));
         synced =
           (fun v app ->
             (* The group just readmitted this incarnation, so every
@@ -526,7 +517,7 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
         host
     in
     let m =
-      { me; cluster; core; inbox; hb = None; installed_cbs = []; excluded_cbs = []; synced_cbs = [] }
+      { me; cluster; core; inbox; hb = None; installed_cbs = []; synced_cbs = [] }
     in
     m_ref := Some m;
     m

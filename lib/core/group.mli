@@ -205,13 +205,6 @@ val write_off : 'p cluster -> int list -> unit
     the ordinary restart path once the node is excluded from every
     surviving view. *)
 
-val park_member : 'p cluster -> int -> unit
-(** Force the quorum-loss transition on a member (the park watchdog
-    calls this when [park_timeout] expires; exposed for tests): the
-    member {!Protocol.park}s, and if the config's [merge] is on it
-    restarts as a recovering joiner probing for the primary component.
-    No-op unless the member is currently active. *)
-
 val is_parked : 'p t -> bool
 (** True from the quorum-loss transition until the member is merged
     back into the primary component (immediately false again after the
@@ -300,8 +293,6 @@ val set_state_transfer : 'p t -> (unit -> string option) -> unit
 val on_installed : 'p t -> (View.t -> unit) -> unit
 (** Protocol-level installation (before the marker reaches the
     application); used to measure view-change latency. *)
-
-val on_excluded : 'p t -> (View.t -> unit) -> unit
 
 val on_synced : 'p t -> (View.t -> string option -> unit) -> unit
 (** Fired when this member is readmitted by a sponsor's SYNC, with the

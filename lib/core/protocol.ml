@@ -254,6 +254,18 @@ let set_queued t n =
   t.queued_data <- n;
   Metrics.Gauge.set t.occupancy (float_of_int n)
 
+(* The queue moves by one on every accept and delivery. Adding the
+   literal [1.0] or [-1.0] to the gauge passes a preallocated float,
+   where {!set_queued} boxes a fresh one; the gauge holds the same
+   integer either way. *)
+let queued_one t =
+  t.queued_data <- t.queued_data + 1;
+  Metrics.Gauge.add t.occupancy 1.0
+
+let unqueued_one t =
+  t.queued_data <- t.queued_data - 1;
+  Metrics.Gauge.add t.occupancy (-1.0)
+
 (* Account one message dropped as obsolete at [site]. *)
 let note_purged t ~site ~view_id (id : Msg_id.t) =
   Metrics.Counter.incr (purge_counter t site);
@@ -268,11 +280,27 @@ let take_outputs t =
   t.outputs <- [];
   outs
 
-let floor_of t sender =
-  match Hashtbl.find_opt t.floors sender with Some sn -> sn | None -> -1
+let floor_of t sender = match Hashtbl.find t.floors sender with sn -> sn | exception Not_found -> -1
 
 let raise_floor t (id : Msg_id.t) =
   if id.sn > floor_of t id.sender then Hashtbl.replace t.floors id.sender id.sn
+
+(* Purge the planned victims still queued; returns how many were. A
+   top-level loop, so an accept with nothing to purge allocates no
+   counter and no closure. *)
+let rec purge_victims t ~site ~view_id removed = function
+  | [] -> removed
+  | (v : _ Purge_index.victim) :: rest ->
+      let removed =
+        if Dq.remove t.to_deliver v.Purge_index.victim_handle then begin
+          Purge_index.remove t.pidx ~view:view_id ~id:v.Purge_index.victim_id
+            ~ann:v.Purge_index.victim_ann;
+          note_purged t ~site ~view_id v.Purge_index.victim_id;
+          removed + 1
+        end
+        else removed
+      in
+      purge_victims t ~site ~view_id removed rest
 
 (* Incremental purge around a newly inserted message: with the queue
    already purged, only pairs involving [fresh] can newly match, and
@@ -282,28 +310,22 @@ let raise_floor t (id : Msg_id.t) =
    either queue order. *)
 let purge_around t ~site (fresh : 'p data) fresh_handle =
   if t.semantic then begin
-    let victims, drop_fresh =
-      Purge_index.plan t.pidx ~view:fresh.view_id ~id:fresh.id ~ann:fresh.ann
+    let view_id = fresh.view_id in
+    let victims, drop_fresh = Purge_index.plan t.pidx ~view:view_id ~id:fresh.id ~ann:fresh.ann in
+    let removed = purge_victims t ~site ~view_id 0 victims in
+    let removed =
+      if drop_fresh then begin
+        ignore (Dq.remove t.to_deliver fresh_handle : bool);
+        note_purged t ~site ~view_id fresh.id;
+        removed + 1
+      end
+      else begin
+        Purge_index.add t.pidx ~view:view_id ~id:fresh.id ~ann:fresh.ann fresh_handle
+          ~seq:(Dq.handle_seq fresh_handle);
+        removed
+      end
     in
-    let removed = ref 0 in
-    List.iter
-      (fun (v : _ Purge_index.victim) ->
-        if Dq.remove t.to_deliver v.Purge_index.victim_handle then begin
-          Purge_index.remove t.pidx ~view:fresh.view_id ~id:v.Purge_index.victim_id
-            ~ann:v.Purge_index.victim_ann;
-          incr removed;
-          note_purged t ~site ~view_id:fresh.view_id v.Purge_index.victim_id
-        end)
-      victims;
-    if drop_fresh then begin
-      ignore (Dq.remove t.to_deliver fresh_handle : bool);
-      incr removed;
-      note_purged t ~site ~view_id:fresh.view_id fresh.id
-    end
-    else
-      Purge_index.add t.pidx ~view:fresh.view_id ~id:fresh.id ~ann:fresh.ann fresh_handle
-        ~seq:(Dq.handle_seq fresh_handle);
-    if !removed > 0 then set_queued t (t.queued_data - !removed)
+    if removed > 0 then set_queued t (t.queued_data - removed)
   end
 
 (* Insert an accepted data message (t2 self-copy, t3 reception, or t7
@@ -311,7 +333,7 @@ let purge_around t ~site (fresh : 'p data) fresh_handle =
 let accept t ~site (d : 'p data) =
   raise_floor t d.id;
   let h = Dq.push_back_h t.to_deliver (Edata d) in
-  set_queued t (t.queued_data + 1);
+  queued_one t;
   purge_around t ~site d h
 
 let stable_floor t sender =
@@ -364,8 +386,15 @@ let local_pred t =
 
 let accepted_in_view = local_pred
 
-let send_to_others t wire =
-  List.iter (fun dst -> if dst <> t.me then emit t (Send { dst; wire })) t.cv.View.members
+(* A loop rather than [List.iter] over a closure: it runs once per
+   multicast. *)
+let rec send_each t wire = function
+  | [] -> ()
+  | dst :: rest ->
+      if dst <> t.me then emit t (Send { dst; wire });
+      send_each t wire rest
+
+let send_to_others t wire = send_each t wire t.cv.View.members
 
 (* t7: once every unsuspected member's PRED arrived and they form a
    majority, propose ((pred-received \ leave) U join, global-pred).
@@ -708,7 +737,7 @@ let deliver t =
   | None -> None
   | Some (Eview v) -> Some (View_change v)
   | Some (Edata d) ->
-      set_queued t (t.queued_data - 1);
+      unqueued_one t;
       if t.semantic then Purge_index.remove t.pidx ~view:d.view_id ~id:d.id ~ann:d.ann;
       if d.view_id = t.cv.View.id then Retained.push t.delivered_this_view d;
       if Trace.enabled t.tracer then

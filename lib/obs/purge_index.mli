@@ -7,15 +7,24 @@
     window — so the pairs a fresh message can participate in are
     reachable by point lookups:
 
-    - a (sender, tag) map holding the one queued entry per tag lineage
-      ([Tag] both directions);
-    - a (sender, sn) map over all queued entries ([Enum] and [Kenum]
-      forward probes);
-    - a reverse map from every enumerated predecessor id to the queued
-      [Enum] entries naming it (the cross-sender reverse direction);
+    - per sender, a tag map holding the one queued entry per tag
+      lineage ([Tag] both directions);
+    - per sender, an sn map over all queued entries ([Enum] and
+      [Kenum] forward probes), a hash table rather than a sorted ring,
+      since a sender's sns may be indexed in any order;
+    - per sender, a reverse map from every enumerated sn of that
+      sender to the queued [Enum] entries naming it (the cross-sender
+      reverse direction), skipped while no [Enum] entry is queued;
     - per-sender high-water marks bounding the [Kenum] reverse window
       probe (it short-circuits whenever nothing is queued above the
       fresh sequence number — always, for in-order senders).
+
+    Every map is keyed by plain ints, so no probe builds a tuple key.
+    An unannotated message has nothing to obsolete: {!plan} and
+    {!obsoleted} run only the reverse probes and allocate nothing, and
+    {!add} costs one entry and one hash bucket. A view's tables
+    outlive a drained queue (only the high-water marks reset), so a
+    queue that empties after every message reuses them.
 
     The structure is parametric in ['h], the queue handle type (e.g.
     [Dq.handle]), so it composes with any buffer that supports O(1)

@@ -231,15 +231,14 @@ let hello_frame me =
   Bytes.blit_string payload 0 b frame_header_bytes n;
   Bytes.to_string b
 
-let add_varint buf v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  go v
+(* Top-level rather than a local loop over [buf], which would allocate
+   a closure on every frame. *)
+let rec add_varint buf v =
+  if v < 0x80 then Buffer.add_char buf (Char.chr v)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7F)));
+    add_varint buf (v lsr 7)
+  end
 
 let varint_size v =
   let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
@@ -735,11 +734,12 @@ let create loop ~me ~listen_fd ~peers ~on_frame ?(tracer = Trace.nop) ?metrics
   t
 
 (* Append one inner frame to [dst]'s open batch. [len] is the payload
-   size; [add] writes exactly that many bytes to the batch buffer.
+   size; [add buf src] writes exactly that many bytes of [src] to [buf]
+   (a top-level function, so a send allocates no closure).
    Past the soft watermark the frame goes to the overflow queue
    instead, where the suffix-shed walk may purge the obsolete run of
    queued-but-unsent data frames the fresh one covers. *)
-let enqueue t (out : outgoing) ?meta ~len add =
+let enqueue t (out : outgoing) ?meta ~len add src =
   if out.bp || peer_pending out + len > t.bp_policy.soft then begin
     if not out.bp then begin
       out.bp <- true;
@@ -773,7 +773,7 @@ let enqueue t (out : outgoing) ?meta ~len add =
           victims
     | _ -> ());
     Buffer.clear t.scratch;
-    add t.scratch;
+    add t.scratch src;
     let f =
       { bytes = Buffer.contents t.scratch; fmeta = meta; fshed = false; sent = false }
     in
@@ -816,7 +816,7 @@ let enqueue t (out : outgoing) ?meta ~len add =
       && Buffer.length out.batch + varint_size len + len > t.watermark
     then flush_outgoing t out;
     add_varint out.batch len;
-    add out.batch;
+    add out.batch src;
     out.batch_frames <- out.batch_frames + 1;
     out.queued_frames <- out.queued_frames + 1;
     if out.fd = None then try_dial t out;
@@ -824,25 +824,23 @@ let enqueue t (out : outgoing) ?meta ~len add =
       flush_outgoing t out
   end
 
-let with_dst t ~dst f =
+let send_from t ~dst ?meta ~len add src =
   if not t.closed then
-    match List.assoc_opt dst t.outgoing with
-    | None -> emit_drop t ~peer:dst ~reason:"unknown-dst"
-    | Some (out : outgoing) when out.broken ->
+    match List.assoc dst t.outgoing with
+    | exception Not_found -> emit_drop t ~peer:dst ~reason:"unknown-dst"
+    | (out : outgoing) when out.broken ->
         (* Buffering towards a written-off peer would grow without
            bound; the frame can never be delivered on this stream. *)
         emit_drop t ~peer:dst ~reason:"written-off"
-    | Some (out : outgoing) -> f out
+    | out -> enqueue t out ?meta ~len add src
 
 let send t ~dst ?meta payload =
-  with_dst t ~dst (fun out ->
-      enqueue t out ?meta ~len:(String.length payload) (fun batch ->
-          Buffer.add_string batch payload))
+  send_from t ~dst ?meta ~len:(String.length payload) Buffer.add_string payload
+
+let add_writer batch w = Codec.Writer.add_to_buffer w batch
 
 let send_writer t ~dst ?meta w =
-  with_dst t ~dst (fun out ->
-      enqueue t out ?meta ~len:(Codec.Writer.length w) (fun batch ->
-          Codec.Writer.add_to_buffer w batch))
+  send_from t ~dst ?meta ~len:(Codec.Writer.length w) add_writer w
 
 let flush t = if not t.closed then List.iter (fun (_, out) -> flush_outgoing t out) t.outgoing
 

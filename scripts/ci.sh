@@ -12,10 +12,10 @@
 #                        observability surface (admin endpoint +
 #                        svs_trace analyzer)
 #   scripts/ci.sh bench-smoke
-#                        one short perfbench saturate run (2 s per
-#                        pass), gated on exit status 0 and the
-#                        Checker verdict "correct": true — no timing
-#                        gates
+#                        one short perfbench saturate run (2 s in
+#                        all), gated on exit status 0, the Checker
+#                        verdict "correct": true and a words/msg
+#                        allocation budget — no timing gates
 #   scripts/ci.sh fuzz-smoke
 #                        run the byte-level fuzz suite with a bigger
 #                        iteration budget (FUZZ_ITERS, default 2000)
@@ -164,6 +164,16 @@ if [ "${1:-}" = "bench-smoke" ] || [ "${1:-}" = "smoke" ]; then
   # Runtime fast path: a short saturate run through the benchmark's own
   # oracle (perfbench/ is the one runtime benchmark; see its README).
   perfbench_correct saturate --seconds 2 --trace 0
+  # Allocation is deterministic enough to gate: this run measures 166.0
+  # minor words per message (five runs, 166.02-166.03); the budget
+  # leaves 10 % headroom. Wall-clock figures stay ungated.
+  words_budget=183
+  words=$(printf '%s\n' "$pb_json" | \
+    sed -n 's/.*"words_per_msg": {"value": \([0-9.]*\).*/\1/p')
+  [ -n "$words" ] && awk -v w="$words" -v b="$words_budget" 'BEGIN { exit !(w <= b) }' || {
+    echo "ci: perfbench saturate allocates ${words:-?} words/msg (budget $words_budget)" >&2
+    exit 1; }
+  echo "ci: perfbench saturate words/msg $words (budget $words_budget)"
 fi
 
 if [ "${1:-}" = "fuzz-smoke" ]; then

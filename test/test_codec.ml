@@ -342,6 +342,42 @@ let wire_round_trip_property =
       in
       rt_wire w = w)
 
+(* --- allocation budgets ---
+
+   Words allocated on the minor heap per call, averaged over [alloc_n]
+   calls, so one-off growth (a writer's buffer) averages out and any
+   per-call allocation shows as at least one word. *)
+
+let alloc_n = 20_000
+
+let unrelated_int_wire =
+  Types.Wdata
+    { Types.id = mid 1 123_456; view_id = 3; payload = 987_654; ann = Annotation.Unrelated }
+
+let test_encode_allocates_nothing () =
+  let w = W.create ~initial_capacity:256 () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to alloc_n do
+    W.clear w;
+    Wire_codec.write_wire Wire_codec.int_codec w unrelated_int_wire
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int alloc_n in
+  Alcotest.(check (float 0.0)) "write_wire words per frame" 0.0 per_call
+
+(* Decoding builds exactly the values it returns: the [Wdata] block (2
+   words), the data record (5) and its [Msg_id] (3). *)
+let test_decode_allocates_only_the_message () =
+  let s = Wire_codec.wire_to_string Wire_codec.int_codec unrelated_int_wire in
+  let readers = Array.init alloc_n (fun _ -> R.of_string s) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to alloc_n - 1 do
+    ignore (Sys.opaque_identity (Wire_codec.read_wire Wire_codec.int_codec readers.(i)))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int alloc_n in
+  Alcotest.(check bool)
+    (Printf.sprintf "read_wire allocates %.1f words per frame (budget 10)" per_call)
+    true (per_call <= 10.0)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "svs_codec"
@@ -385,5 +421,11 @@ let () =
           Alcotest.test_case "proposal" `Quick test_proposal_round_trip;
           Alcotest.test_case "sizes" `Quick test_wire_sizes_sane;
           q wire_round_trip_property;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "encode allocates nothing" `Quick test_encode_allocates_nothing;
+          Alcotest.test_case "decode allocates only the message" `Quick
+            test_decode_allocates_only_the_message;
         ] );
     ]

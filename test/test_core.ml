@@ -1249,7 +1249,7 @@ let group_random_scenarios ~semantic ~name =
 
 module Purge_diff = Svs_core.Purge_diff
 
-type diff_kind = Dtag | Denum | Dkenum | Dmixed
+type diff_kind = Dtag | Denum | Dkenum | Dmixed | Dunrelated
 
 (* Random op streams with globally unique ids: each sender hands out
    its sequence numbers from a shuffled pool, so ids never repeat but
@@ -1306,6 +1306,14 @@ let gen_diff_ops ~kind ~seed ~n =
         | 0 -> tag ()
         | 1 -> enum ()
         | 2 -> kenum ()
+        | _ -> Annotation.Unrelated)
+    | Dunrelated -> (
+        (* Mostly plain payloads, the fast path of the index: the few
+           Enum and Kenum messages name them, so a queued annotated
+           message obsoletes fresh unannotated ones. *)
+        match Random.State.int st 10 with
+        | 0 -> enum ()
+        | 1 -> kenum ()
         | _ -> Annotation.Unrelated)
   in
   List.init n (fun _ ->
@@ -1365,6 +1373,88 @@ let test_purge_enum_drops_late_predecessor () =
   in
   check_engine "reference" (module Purge_diff.Reference);
   check_engine "indexed" (module Purge_diff.Indexed)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets on the data path                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words per call, averaged over [alloc_n] calls so one-off
+   growth averages out and any per-call allocation shows as at least
+   one word. *)
+let alloc_n = 20_000
+
+module Purge_index = Svs_obs.Purge_index
+
+(* An unannotated message probes a view whose queue holds unannotated
+   entries of every sender, a queued Enum naming sns that are not
+   probed, and a Kenum entry above the probed sns (so both reverse
+   probes run and miss): neither probe allocates. *)
+let test_purge_index_unrelated_allocates_nothing () =
+  let idx = Purge_index.create () in
+  let seq = ref 0 in
+  let add ~sender ~sn ann =
+    Purge_index.add idx ~view:0 ~id:(Msg_id.make ~sender ~sn) ~ann () ~seq:!seq;
+    incr seq
+  in
+  for sender = 0 to 2 do
+    for sn = 0 to 9 do
+      add ~sender ~sn Annotation.Unrelated
+    done
+  done;
+  add ~sender:1 ~sn:10 (Annotation.Enum [ Msg_id.make ~sender:0 ~sn:3 ]);
+  let bm = Bitvec.create ~k:8 in
+  Bitvec.set bm 3;
+  add ~sender:2 ~sn:(2 * alloc_n) (Annotation.Kenum bm);
+  let ids = Array.init alloc_n (fun i -> Msg_id.make ~sender:(i mod 3) ~sn:(20 + i)) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to alloc_n - 1 do
+    if Purge_index.obsoleted idx ~view:0 ~id:ids.(i) ~ann:Annotation.Unrelated then
+      Alcotest.fail "obsoleted"
+  done;
+  let w1 = Gc.minor_words () in
+  for i = 0 to alloc_n - 1 do
+    match Purge_index.plan idx ~view:0 ~id:ids.(i) ~ann:Annotation.Unrelated with
+    | [], false -> ()
+    | _ -> Alcotest.fail "planned a purge"
+  done;
+  let w2 = Gc.minor_words () in
+  let per_call a b = (b -. a) /. float_of_int alloc_n in
+  Alcotest.(check (float 0.0)) "obsoleted words per call" 0.0 (per_call w0 w1);
+  Alcotest.(check (float 0.0)) "plan words per call" 0.0 (per_call w1 w2)
+
+(* Three directly wired protocols, semantic purging on: process 0
+   multicasts unannotated ints, its outputs go straight to the others'
+   [receive], and every process drains its queue. Measured at 90 words
+   per multicast (46 at the sender with its outputs, 16 per receive, 4
+   per delivery); the budget leaves about 10 % headroom. *)
+let test_protocol_words_per_multicast () =
+  let view = View.initial ~members:[ 0; 1; 2 ] in
+  let ps =
+    Array.init 3 (fun me -> Protocol.create ~me ~initial_view:view ~suspects:(fun _ -> false) ())
+  in
+  let rec drain p = match Protocol.deliver p with Some _ -> drain p | None -> () in
+  let rec forward = function
+    | [] -> ()
+    | Types.Send { dst; wire } :: rest ->
+        Protocol.receive ps.(dst) ~src:0 wire;
+        forward rest
+    | _ :: rest -> forward rest
+  in
+  let w0 = Gc.minor_words () in
+  for i = 1 to alloc_n do
+    ignore (Sys.opaque_identity (Protocol.multicast ps.(0) i));
+    forward (Protocol.take_outputs ps.(0));
+    Array.iter drain ps
+  done;
+  let per_mcast = (Gc.minor_words () -. w0) /. float_of_int alloc_n in
+  Array.iter
+    (fun p ->
+      Alcotest.(check int) "every multicast delivered" alloc_n
+        (List.length (Protocol.accepted_in_view p)))
+    ps;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per multicast (budget 100)" per_mcast)
+    true (per_mcast <= 100.0)
 
 (* ------------------------------------------------------------------ *)
 (* Member: the divergence rule, driven directly                        *)
@@ -1713,6 +1803,13 @@ let () =
             test_member_laggard_episode_clears;
           Alcotest.test_case "digest gossip once a period" `Quick test_member_digest_gossip;
         ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "purge index: unrelated probes allocate nothing" `Quick
+            test_purge_index_unrelated_allocates_nothing;
+          Alcotest.test_case "protocol words per multicast" `Quick
+            test_protocol_words_per_multicast;
+        ] );
       ( "purge-diff",
         [
           Alcotest.test_case "enum: no retroactive purge" `Quick
@@ -1723,5 +1820,6 @@ let () =
           q (purge_diff_agrees ~name:"indexed = pairwise (enum)" ~kind:Denum);
           q (purge_diff_agrees ~name:"indexed = pairwise (kenum)" ~kind:Dkenum);
           q (purge_diff_agrees ~name:"indexed = pairwise (mixed)" ~kind:Dmixed);
+          q (purge_diff_agrees ~name:"indexed = pairwise (unrelated)" ~kind:Dunrelated);
         ] );
     ]
