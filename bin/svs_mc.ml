@@ -169,8 +169,9 @@ let mutate_t =
   Arg.(value & opt (some mutation_conv) None
        & info [ "mutate" ] ~docv:"KIND"
            ~doc:"Inverted self-test: corrupt every terminal run's log with KIND \
-                 ($(b,drop-cover)|$(b,dup-restart)|$(b,split-brain)); finding the \
-                 violation is the PASS.")
+                 ($(b,drop-cover)|$(b,dup-restart)|$(b,split-brain)), or run every \
+                 member with an eviction that drops uncovered messages \
+                 ($(b,evict-uncovered)); finding the violation is the PASS.")
 
 let preset_t =
   Arg.(value & opt preset_conv None

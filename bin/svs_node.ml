@@ -50,8 +50,7 @@ let peer_conv =
             Format.fprintf ppf "%d:%s:%d" id (Unix.string_of_inet_addr a) p
         | Unix.ADDR_UNIX path -> Format.fprintf ppf "%d:unix:%s" id path )
 
-let run me peers publish rate consume_rate duration reliable park_timeout flush_interval
-    data_dir divergence_period trace_file admin_port flight_file stats_period verbose =
+let run me peers publish rate consume_rate duration reliable park_timeout data_dir divergence_period trace_file admin_port flight_file stats_period verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
@@ -103,7 +102,6 @@ let run me peers publish rate consume_rate duration reliable park_timeout flush_
         park_timeout;
         tracer;
         metrics = Some metrics;
-        flush_interval;
         divergence_period;
       }
     in
@@ -297,16 +295,6 @@ let cmd =
              its way back in, merging automatically when the partition heals. Best \
              combined with $(b,--data-dir) so the merge resumes from durable floors.")
   in
-  let flush_interval =
-    Arg.(
-      value
-      & opt float Svs_rt.Node.default_config.Svs_rt.Node.flush_interval
-      & info [ "flush-interval" ] ~docv:"SECONDS"
-          ~doc:
-            "Outbound batching horizon: multicasts within this window coalesce per peer \
-             into one batched write (default 0.001). 0 flushes on every send — lowest \
-             latency, one syscall per message per peer.")
-  in
   let data_dir =
     Arg.(
       value & opt (some string) None
@@ -370,7 +358,7 @@ let cmd =
     Term.(
       ret
         (const run $ me $ peers $ publish $ rate $ consume_rate $ duration $ reliable
-       $ park_timeout $ flush_interval $ data_dir $ divergence_period $ trace_file
+       $ park_timeout $ data_dir $ divergence_period $ trace_file
        $ admin_port $ flight_file $ stats_period $ verbose))
 
 let () = exit (Cmd.eval cmd)

@@ -8,17 +8,19 @@ let mode_label = function Vs -> "vs" | Svs -> "svs"
 
 let mode_of_label = function "vs" -> Some Vs | "svs" -> Some Svs | _ -> None
 
-type mutation = Drop_cover | Duplicate_after_restart | Split_brain
+type mutation = Drop_cover | Duplicate_after_restart | Split_brain | Evict_uncovered
 
 let mutation_label = function
   | Drop_cover -> "drop-cover"
   | Duplicate_after_restart -> "dup-restart"
   | Split_brain -> "split-brain"
+  | Evict_uncovered -> "evict-uncovered"
 
 let mutation_of_label = function
   | "drop-cover" -> Some Drop_cover
   | "dup-restart" -> Some Duplicate_after_restart
   | "split-brain" -> Some Split_brain
+  | "evict-uncovered" -> Some Evict_uncovered
   | _ -> None
 
 type report = {
@@ -257,7 +259,7 @@ let counts check =
 let check ?mutation ?expect_converged ~mode ~seed ~scenario check_t =
   let check_t, mutated =
     match mutation with
-    | None -> (check_t, None)
+    | None | Some Evict_uncovered -> (check_t, None)
     | Some Drop_cover -> (
         match find_droppable check_t with
         | Some (q, id) -> (replay_without check_t ~q ~id, Some (q, id))

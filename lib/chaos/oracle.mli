@@ -59,9 +59,17 @@ type mutation =
           split-brain check must flag it. In the report's [mutated]
           field the message id stands in for [(process, forged view
           id)]. *)
+  | Evict_uncovered
+      (** Simulate an over-eager eviction: the run itself is made with
+          every member's protocol dropping its whole delivered store
+          from the PRED bookkeeping at each delivery, covered or not
+          ({!Svs_core.Group.config} [evict_uncovered]); the recorded
+          log is checked as it is. A view change that must carry a
+          message only some survivors delivered then leaves a hole. *)
 
 val mutation_label : mutation -> string
-(** ["drop-cover"], ["dup-restart"], ["split-brain"]: the names
+(** ["drop-cover"], ["dup-restart"], ["split-brain"],
+    ["evict-uncovered"]: the names
     [svs_mc --mutate], its trace files and [svs_chaos --self-test]
     use. *)
 

@@ -79,6 +79,7 @@ let run_one ?mutation ?(tracer = Trace.nop) ?(config = default_config) ~mode ~sc
     {
       Group.default_config with
       tracer;
+      evict_uncovered = mutation = Some Oracle.Evict_uncovered;
       park_timeout = scenario.Scenario.park_timeout;
       merge = config.merge;
       shed = (if config.shed then scenario.Scenario.shed_limit else None);

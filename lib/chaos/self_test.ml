@@ -31,12 +31,11 @@ type t = {
 
 let sweep_only f = function Sweep o -> f o | Hostile _ -> false
 
-let mutation m doc =
+let mutation ?(scenarios = Scenario.faulty) m doc =
   {
     name = Oracle.mutation_label m;
     doc;
-    defence =
-      Mutation { mutation = m; scenarios = Scenario.faulty; modes = [ Oracle.Vs; Oracle.Svs ] };
+    defence = Mutation { mutation = m; scenarios; modes = [ Oracle.Vs; Oracle.Svs ] };
     eligible = (fun _ -> true);
     caught = flagged;
   }
@@ -67,6 +66,13 @@ let all =
     mutation Oracle.Split_brain
       "forge a divergent minority view onto each recorded run; the primary-chain check \
        must catch every run.";
+    (* A hole needs a view change that must carry a message only some
+       survivors delivered: the excluded wedged member's scenarios
+       make one in every run. *)
+    mutation Oracle.Evict_uncovered
+      ~scenarios:[ Scenario.overload; Scenario.overload_mayhem ]
+      "evict the whole delivered store from the PRED bookkeeping at every delivery, \
+       covered or not; every run must be caught.";
     toggle "no-merge"
       "leave parked members parked instead of probing back in; every scenario that \
        expects re-convergence must fail it."

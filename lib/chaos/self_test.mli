@@ -49,8 +49,9 @@ type t = {
 }
 
 val all : t list
-(** [drop-cover], [split-brain], [no-merge], [no-recovery], [no-shed],
-    [no-quarantine], [no-salvage], [no-heal]. *)
+(** [drop-cover], [split-brain], [evict-uncovered], [no-merge],
+    [no-recovery], [no-shed], [no-quarantine], [no-salvage],
+    [no-heal]. *)
 
 val run :
   ?tracer:Svs_telemetry.Trace.t ->

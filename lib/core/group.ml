@@ -27,6 +27,7 @@ type laggard = {
 
 type config = {
   semantic : bool;
+  evict_uncovered : bool;
   buffer_capacity : int option;
   detector : detector_mode;
   consensus : consensus_mode;
@@ -49,6 +50,7 @@ type config = {
 let default_config =
   {
     semantic = true;
+    evict_uncovered = false;
     buffer_capacity = None;
     detector = Oracle;
     consensus = Arbiter;
@@ -502,7 +504,8 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
     in
     let core =
       Member.create eng ~me ~peers:ids ~clock:(Engine.clock eng) ~semantic:config.semantic
-        ~tracer:config.tracer ?metrics:config.metrics ?park_timeout:config.park_timeout
+        ~evict_uncovered:config.evict_uncovered ~tracer:config.tracer ?metrics:config.metrics
+        ?park_timeout:config.park_timeout
         ~merge:config.merge ?divergence:config.divergence
         ?laggard:
           (Option.map

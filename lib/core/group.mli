@@ -37,6 +37,10 @@ type laggard = {
 
 type config = {
   semantic : bool;  (** Purge obsolete messages (false = plain VS). *)
+  evict_uncovered : bool;
+      (** Inverted self-checks only: break every member's protocol so
+          that each delivery drops the whole delivered store from the
+          PRED bookkeeping, covered or not (see {!Protocol.create}). *)
   buffer_capacity : int option;
       (** Bound on the delivery queue; when reached the member stops
           accepting data from the network (control traffic still

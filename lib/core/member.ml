@@ -36,6 +36,7 @@ type 'p t = {
   host : 'p host;
   suspects : int -> bool; (* the host's detector, plus [evicting] *)
   semantic : bool;
+  evict_uncovered : bool;
   tracer : Trace.t;
   metrics : Metrics.t option;
   contacts : int list; (* every other initial member, for the join nag *)
@@ -250,7 +251,8 @@ and request_join m ~contact =
 
 let restart m ?recovery () =
   let proto =
-    Protocol.create_joiner ~me:m.me ?recovery ~semantic:m.semantic ~tracer:m.tracer
+    Protocol.create_joiner ~me:m.me ?recovery ~semantic:m.semantic
+      ~evict_uncovered:m.evict_uncovered ~tracer:m.tracer
       ?metrics:m.metrics ~clock:m.clock ~suspects:m.suspects ()
   in
   (match m.state_transfer with Some f -> Protocol.set_state_transfer proto f | None -> ());
@@ -456,7 +458,8 @@ let check_laggards m { report_after; evict_after } =
         end)
       m.contacts
 
-let create engine ~me ~peers ~clock ?(semantic = true) ?(tracer = Trace.nop) ?metrics ?recovery
+let create engine ~me ~peers ~clock ?(semantic = true) ?(evict_uncovered = false)
+    ?(tracer = Trace.nop) ?metrics ?recovery
     ?park_timeout ?(merge = true) ?divergence ?laggard ?stability_period
     ?(merge_spans = Metrics.Histogram.detached ())
     ?(divergences = Metrics.Counter.detached ()) ?(slow_reports = Metrics.Counter.detached ())
@@ -466,11 +469,12 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(tracer = Trace.nop) ?me
   let proto =
     match recovery with
     | Some _ ->
-        Protocol.create_joiner ~me ?recovery ~semantic ~tracer ?metrics ~clock ~suspects ()
+        Protocol.create_joiner ~me ?recovery ~semantic ~evict_uncovered ~tracer ?metrics ~clock
+          ~suspects ()
     | None ->
         Protocol.create ~me
           ~initial_view:(View.initial ~members:peers)
-          ~semantic ~tracer ?metrics ~clock ~suspects ()
+          ~semantic ~evict_uncovered ~tracer ?metrics ~clock ~suspects ()
   in
   let m =
     {
@@ -480,6 +484,7 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(tracer = Trace.nop) ?me
       host;
       suspects;
       semantic;
+      evict_uncovered;
       tracer;
       metrics;
       contacts = List.filter (fun p -> p <> me) (List.sort_uniq compare peers);

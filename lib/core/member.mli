@@ -78,6 +78,7 @@ val create :
   peers:int list ->
   clock:(unit -> float) ->
   ?semantic:bool ->
+  ?evict_uncovered:bool ->
   ?tracer:Svs_telemetry.Trace.t ->
   ?metrics:Svs_telemetry.Metrics.t ->
   ?recovery:Protocol.recovery ->
@@ -98,6 +99,8 @@ val create :
     excluded, member rejoin. [divergence] arms the digest gossip (sent
     every [period]) and its evaluation (half a period later).
     [laggard] arms the laggard rule, ticking every [report_after / 4].
+    [semantic] and [evict_uncovered] go to every incarnation's
+    {!Protocol.create}.
     [merge_spans], [divergences] and [slow_reports] are the driver's
     instruments (detached by default). *)
 

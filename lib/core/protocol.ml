@@ -11,57 +11,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type 'p entry = Edata of 'p data | Eview of View.t
 
-(* The delivered messages of the current view, oldest first, kept for
-   the PRED set until stable. Retention is throughput × stability lag,
-   so it dominates the heap under load: a growable array compacted in
-   place costs one to two words per message (a list cell three, a
-   [Dq] entry six) and the periodic stability trim allocates nothing.
-   Slots past [len] never keep a trimmed message alive. *)
-module Retained = struct
-  type 'a t = { mutable arr : 'a array; mutable len : int }
-
-  let create () = { arr = [||]; len = 0 }
-
-  let clear r =
-    r.arr <- [||];
-    r.len <- 0
-
-  let push r x =
-    if r.len = Array.length r.arr then begin
-      let arr = Array.make (Stdlib.max 16 (2 * r.len)) x in
-      Array.blit r.arr 0 arr 0 r.len;
-      r.arr <- arr
-    end;
-    r.arr.(r.len) <- x;
-    r.len <- r.len + 1
-
-  (* Keeps the elements satisfying [keep], in order; returns how many
-     were dropped. *)
-  let filter_in_place keep r =
-    let j = ref 0 in
-    for i = 0 to r.len - 1 do
-      let x = r.arr.(i) in
-      if keep x then begin
-        r.arr.(!j) <- x;
-        incr j
-      end
-    done;
-    let removed = r.len - !j in
-    if !j = 0 then clear r
-    else begin
-      Array.fill r.arr !j removed r.arr.(0);
-      r.len <- !j
-    end;
-    removed
-
-  let fold_right f r acc =
-    let acc = ref acc in
-    for i = r.len - 1 downto 0 do
-      acc := f r.arr.(i) !acc
-    done;
-    !acc
-end
-
 (* Per-view-change bookkeeping (Figure 1's leave / global-pred /
    pred-received variables, instantiated for the current view only:
    older instances can never be consulted again because decisions for
@@ -104,7 +53,10 @@ type 'p t = {
      inserting a message touches exactly the entries it can obsolete
      instead of sweeping the queue. *)
   pidx : 'p entry Dq.handle Purge_index.t;
-  delivered_this_view : 'p data Retained.t; (* until stable *)
+  delivered_this_view : 'p Retained.t; (* until stable or covered *)
+  (* Inverted self-check only: every delivery also evicts the whole
+     retained store, covered or not. *)
+  evict_uncovered : bool;
   floors : (int, int) Hashtbl.t; (* sender -> highest accepted sn *)
   mutable vc : 'p vc_state option;
   stash : (int * 'p wire) Queue.t; (* future-view messages *)
@@ -123,6 +75,7 @@ type 'p t = {
   purged_multicast : Metrics.Counter.t;
   purged_receive : Metrics.Counter.t;
   purged_install : Metrics.Counter.t;
+  evicted : Metrics.Counter.t;
   occupancy : Metrics.Gauge.t;
   blocked_spans : Metrics.Histogram.t;
   parked_total : Metrics.Counter.t;
@@ -130,8 +83,8 @@ type 'p t = {
   mutable queued_data : int;
 }
 
-let create ~me ~initial_view ?(semantic = true) ?(tracer = Trace.nop) ?metrics
-    ?(clock = fun () -> 0.0) ~suspects () =
+let create ~me ~initial_view ?(semantic = true) ?(evict_uncovered = false)
+    ?(tracer = Trace.nop) ?metrics ?(clock = fun () -> 0.0) ~suspects () =
   let node_label = [ ("node", string_of_int me) ] in
   let counter site =
     match metrics with
@@ -151,6 +104,7 @@ let create ~me ~initial_view ?(semantic = true) ?(tracer = Trace.nop) ?metrics
     to_deliver = Dq.create ();
     pidx = Purge_index.create ();
     delivered_this_view = Retained.create ();
+    evict_uncovered;
     floors = Hashtbl.create 16;
     vc = None;
     stash = Queue.create ();
@@ -162,6 +116,10 @@ let create ~me ~initial_view ?(semantic = true) ?(tracer = Trace.nop) ?metrics
     purged_multicast = counter "multicast";
     purged_receive = counter "receive";
     purged_install = counter "install";
+    evicted =
+      (match metrics with
+      | None -> Metrics.Counter.detached ()
+      | Some reg -> Metrics.counter reg ~labels:node_label "svs_evicted_total");
     occupancy =
       (match metrics with
       | None -> Metrics.Gauge.detached ()
@@ -184,12 +142,13 @@ let create ~me ~initial_view ?(semantic = true) ?(tracer = Trace.nop) ?metrics
    fresh process. [recovery] restores the durable part of the state —
    delivery floors (dedup + FIFO across restart) and the next send
    sequence number (so no Msg_id is ever reused). *)
-let create_joiner ~me ?recovery ?semantic ?tracer ?metrics ?clock ~suspects () =
+let create_joiner ~me ?recovery ?semantic ?evict_uncovered ?tracer ?metrics ?clock ~suspects
+    () =
   let view_id = match recovery with Some r -> r.view_id | None -> -1 in
   let t =
     create ~me
       ~initial_view:(View.make ~id:view_id ~members:[ me ])
-      ?semantic ?tracer ?metrics ?clock ~suspects ()
+      ?semantic ?evict_uncovered ?tracer ?metrics ?clock ~suspects ()
   in
   t.status <- Joining;
   (match recovery with
@@ -302,39 +261,39 @@ let rec purge_victims t ~site ~view_id removed = function
       in
       purge_victims t ~site ~view_id removed rest
 
-(* Incremental purge around a newly inserted message: with the queue
-   already purged, only pairs involving [fresh] can newly match, and
-   the indexes enumerate them directly — O(|predecessors|) probes
-   instead of two queue sweeps. Both directions are checked because
-   enumeration annotations can relate messages across senders in
-   either queue order. *)
-let purge_around t ~site (fresh : 'p data) fresh_handle =
-  if t.semantic then begin
-    let view_id = fresh.view_id in
-    let victims, drop_fresh = Purge_index.plan t.pidx ~view:view_id ~id:fresh.id ~ann:fresh.ann in
-    let removed = purge_victims t ~site ~view_id 0 victims in
-    let removed =
-      if drop_fresh then begin
-        ignore (Dq.remove t.to_deliver fresh_handle : bool);
-        note_purged t ~site ~view_id fresh.id;
-        removed + 1
-      end
-      else begin
-        Purge_index.add t.pidx ~view:view_id ~id:fresh.id ~ann:fresh.ann fresh_handle
-          ~seq:(Dq.handle_seq fresh_handle);
-        removed
-      end
-    in
-    if removed > 0 then set_queued t (t.queued_data - removed)
-  end
-
 (* Insert an accepted data message (t2 self-copy, t3 reception, or t7
-   injection) and purge. *)
+   injection) and purge incrementally: with the queue already purged,
+   only pairs involving [d] can newly match, and the index enumerates
+   them directly — O(|predecessors|) probes instead of two queue
+   sweeps, run once, before the push. Both directions are checked
+   because enumeration annotations can relate messages across senders
+   in either queue order. A message covered on arrival is accounted as
+   accepted (for FIFO floors) but never queued; at reception its
+   victims stay queued, as the receive-side cover test always left
+   them. *)
 let accept t ~site (d : 'p data) =
   raise_floor t d.id;
-  let h = Dq.push_back_h t.to_deliver (Edata d) in
-  queued_one t;
-  purge_around t ~site d h
+  if not t.semantic then begin
+    ignore (Dq.push_back_h t.to_deliver (Edata d) : _ Dq.handle);
+    queued_one t
+  end
+  else begin
+    let view_id = d.view_id in
+    let victims, drop = Purge_index.plan t.pidx ~view:view_id ~id:d.id ~ann:d.ann in
+    let removed =
+      match site with
+      | Trace.At_receive when drop -> 0
+      | Trace.At_receive | Trace.At_multicast | Trace.At_install ->
+          purge_victims t ~site ~view_id 0 victims
+    in
+    if drop then note_purged t ~site ~view_id d.id
+    else begin
+      let h = Dq.push_back_h t.to_deliver (Edata d) in
+      Purge_index.add t.pidx ~view:view_id ~id:d.id ~ann:d.ann h ~seq:(Dq.handle_seq h);
+      queued_one t
+    end;
+    if removed > 0 then set_queued t (t.queued_data - removed)
+  end
 
 let stable_floor t sender =
   List.fold_left
@@ -375,6 +334,10 @@ let trim_stable t =
   t.trimmed <- t.trimmed + removed
 
 let stable_trimmed t = t.trimmed
+
+let evicted t = Metrics.Counter.value t.evicted
+
+let retained_peak t = Retained.peak t.delivered_this_view
 
 let local_pred t =
   let from_queue =
@@ -535,23 +498,9 @@ let handle_pred t ~src ~msgs =
 
 (* t3. *)
 let handle_data t (d : 'p data) =
-  if not t.blocked then
-    if d.id.Msg_id.sn <= floor_of t d.id.Msg_id.sender then ()
-      (* duplicate (already accepted once) *)
-    else begin
-      (* The reverse index answers the cover test without scanning the
-         queue: is some queued entry of this view newer than [d]? *)
-      let covered =
-        t.semantic && Purge_index.obsoleted t.pidx ~view:d.view_id ~id:d.id ~ann:d.ann
-      in
-      if covered then begin
-        (* Already obsolete on arrival: account it as accepted (for
-           FIFO floors) but never enqueue it. *)
-        raise_floor t d.id;
-        note_purged t ~site:Trace.At_receive ~view_id:d.view_id d.id
-      end
-      else accept t ~site:Trace.At_receive d
-    end
+  (* At or below the floor, [d] is a duplicate: accepted once already. *)
+  if (not t.blocked) && d.id.Msg_id.sn > floor_of t d.id.Msg_id.sender then
+    accept t ~site:Trace.At_receive d
 
 let trigger_view_change t ?(join = []) ~leave () =
   if t.status = Member && not t.blocked then begin
@@ -730,6 +679,16 @@ and decided t ~view_id (p : 'p proposal) =
     end
   end
 
+(* One retained message left the PRED bookkeeping because a later
+   delivery covers it. *)
+let note_evicted t (v : 'p data) =
+  Metrics.Counter.incr t.evicted;
+  if Trace.enabled t.tracer then
+    Trace.emit t.tracer
+      (Evict { node = t.me; view_id = v.view_id; sender = v.id.Msg_id.sender; sn = v.id.Msg_id.sn })
+
+let drop_all _ = false
+
 let deliver t =
   if t.status = Parked then None
   else
@@ -739,7 +698,12 @@ let deliver t =
   | Some (Edata d) ->
       unqueued_one t;
       if t.semantic then Purge_index.remove t.pidx ~view:d.view_id ~id:d.id ~ann:d.ann;
-      if d.view_id = t.cv.View.id then Retained.push t.delivered_this_view d;
+      if d.view_id = t.cv.View.id then begin
+        if t.evict_uncovered then
+          ignore (Retained.filter_in_place drop_all t.delivered_this_view : int);
+        if t.semantic then Retained.push t.delivered_this_view d note_evicted t
+        else Retained.add t.delivered_this_view d
+      end;
       if Trace.enabled t.tracer then
         Trace.emit t.tracer
           (Deliver

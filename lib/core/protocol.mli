@@ -21,7 +21,13 @@
     reception, and view installation when [semantic] is on; with it off
     the protocol is the underlying conventional View Synchrony
     algorithm, which is also what an empty obsolescence relation
-    yields. *)
+    yields.
+
+    The delivered messages of the current view stay in the PRED
+    bookkeeping until they are stable or, with [semantic] on, until a
+    later delivery covers them: SVS only asks each survivor to deliver
+    some [m'] with [m ⊑ m'], so the covering [m'] is enough (see
+    {!Retained}). *)
 
 type 'p t
 
@@ -37,6 +43,7 @@ val create :
   me:int ->
   initial_view:View.t ->
   ?semantic:bool ->
+  ?evict_uncovered:bool ->
   ?tracer:Svs_telemetry.Trace.t ->
   ?metrics:Svs_telemetry.Metrics.t ->
   ?clock:(unit -> float) ->
@@ -44,13 +51,18 @@ val create :
   unit ->
   'p t
 (** [semantic] defaults to [true]. [suspects] is the failure-detector
-    query used by the t7 guard.
+    query used by the t7 guard. [evict_uncovered] (default [false])
+    breaks the protocol on purpose, for the inverted self-checks: every
+    delivery then also drops the whole delivered store from the PRED
+    bookkeeping, covered or not.
 
     Telemetry: [tracer] (default {!Svs_telemetry.Trace.nop}) receives
     the protocol's trace events — [Multicast], one [Purge] per purged
-    message, [Block]/[Unblock], [ConsensusDecide], [ViewInstall]. When
+    message, one [Evict] per delivered message a later delivery
+    covers, [Block]/[Unblock], [ConsensusDecide], [ViewInstall]. When
     [metrics] is given, the process registers [svs_purged_total]
-    (labelled [node] and [site] = [multicast]/[receive]/[install]), the
+    (labelled [node] and [site] = [multicast]/[receive]/[install]),
+    [svs_evicted_total], the
     [svs_buffer_occupancy] gauge, and the [svs_blocked_seconds] span
     histogram, all with O(1) hot-path updates; without it the same
     instruments exist detached, so instrumentation costs the same
@@ -61,6 +73,7 @@ val create_joiner :
   me:int ->
   ?recovery:recovery ->
   ?semantic:bool ->
+  ?evict_uncovered:bool ->
   ?tracer:Svs_telemetry.Trace.t ->
   ?metrics:Svs_telemetry.Metrics.t ->
   ?clock:(unit -> float) ->
@@ -188,9 +201,17 @@ val gossip_stability : 'p t -> unit
 val stable_trimmed : 'p t -> int
 (** Delivered messages garbage-collected as stable so far. *)
 
+val evicted : 'p t -> int
+(** Delivered messages evicted so far because a later delivery covers
+    them. *)
+
+val retained_peak : 'p t -> int
+(** The most delivered messages the PRED bookkeeping held at once. *)
+
 val accepted_in_view : 'p t -> 'p Types.data list
 (** The local-pred sequence (messages of the current view accepted so
-    far, in order) — what t5 would send; exposed for tests. *)
+    far and not evicted, in order) — what t5 would send; exposed for
+    tests. *)
 
 (** {1 Model-checker support} *)
 

@@ -82,8 +82,8 @@ let check_cut cfg ~mutation ~terminal sys =
 exception Found of Model.transition list * Checker.violation list
 exception Limit
 
-let replay_prefix cfg rev_trace =
-  let sys = Model.make cfg in
+let replay_prefix ?mutation cfg rev_trace =
+  let sys = Model.make ?mutation cfg in
   List.iter (fun t -> Model.apply sys t) (List.rev rev_trace);
   sys
 
@@ -158,7 +158,7 @@ let explore ?(reduce = true) ?(dedup = true) ?(max_states = 2_000_000)
             | [] -> ()
             | t :: rest ->
                 let sys_t =
-                  if first then sys else replay_prefix cfg rev_trace
+                  if first then sys else replay_prefix ?mutation cfg rev_trace
                 in
                 let child_sleep =
                   if reduce then
@@ -176,7 +176,7 @@ let explore ?(reduce = true) ?(dedup = true) ?(max_states = 2_000_000)
       end
     end
   in
-  match go (Model.make cfg) [] 0 [] with
+  match go (Model.make ?mutation cfg) [] 0 [] with
   | () -> { outcome = Exhausted; stats }
   | exception Limit -> { outcome = State_limit; stats }
   | exception Found (trace, violations) ->
@@ -192,7 +192,7 @@ type replay_result =
   | Infeasible of { index : int; transition : Model.transition }
 
 let replay ?mutation cfg trace =
-  let sys = Model.make cfg in
+  let sys = Model.make ?mutation cfg in
   let rec run i = function
     | [] ->
         let terminal = Model.enabled sys = [] in

@@ -101,7 +101,7 @@ type sys = {
 
 let payload = string_of_int
 
-let make cfg =
+let make ?mutation cfg =
   if cfg.nodes < 2 then invalid_arg "Svs_mc.Model.make: need at least two nodes";
   List.iter
     (fun (a, b) ->
@@ -113,6 +113,7 @@ let make cfg =
     {
       Group.default_config with
       semantic = (cfg.mode = Oracle.Svs);
+      evict_uncovered = mutation = Some Oracle.Evict_uncovered;
       shed = cfg.shed;
       merge = false (* parking/merge is periodic machinery; MC drives rejoins explicitly *);
     }

@@ -57,10 +57,12 @@ val pp_transition : Format.formatter -> transition -> unit
 
 type sys
 
-val make : config -> sys
+val make : ?mutation:Svs_chaos.Oracle.mutation -> config -> sys
 (** A fresh system in its initial state (all nodes members of view 0,
     nothing in flight). Deterministic: two [make]s of the same config
-    behave identically under the same choices. *)
+    behave identically under the same choices. With [mutation] =
+    [Evict_uncovered] every member runs the broken eviction the
+    self-test arms; other mutations corrupt the log, not the run. *)
 
 val enabled : sys -> transition list
 (** The choices open in the current state, in a fixed deterministic

@@ -70,6 +70,20 @@ let distances t =
   done;
   !acc
 
+(* Lowest set bit of a nonzero word, as a bit index. *)
+let rec lowest w n = if w land 1 = 1 then n else lowest (w lsr 1) (n + 1)
+
+let rec next_from t i =
+  if i >= t.width then 0
+  else
+    let w = t.words.(i / word_bits) lsr (i mod word_bits) in
+    if w = 0 then next_from t ((i / word_bits + 1) * word_bits)
+    else
+      let j = i + lowest w 0 in
+      if j >= t.width then 0 else j + 1
+
+let next_set t d = next_from t (Stdlib.max d 1 - 1)
+
 let cardinal t = List.length (distances t)
 
 let equal a b =

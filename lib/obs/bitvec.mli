@@ -38,6 +38,12 @@ val union : into:t -> t -> unit
 val distances : t -> int list
 (** Set distances, ascending. *)
 
+val next_set : t -> int -> int
+(** [next_set t d]: the smallest set distance [>= d], or [0] if none.
+    Walks the set bits without building {!distances}' list: a loop
+    [let rec go d = match next_set t d with 0 -> () | d -> f d; go (d + 1)]
+    allocates nothing. *)
+
 val cardinal : t -> int
 
 val equal : t -> t -> bool

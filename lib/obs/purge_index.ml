@@ -193,18 +193,6 @@ let entry vs ~sender ~sn = Hashtbl.find (Hashtbl.find vs.senders sender).by_sn s
 (* The queued entry of [sender]'s tag lineage [g]. @raise Not_found *)
 let tagged vs ~sender g = Hashtbl.find (Hashtbl.find vs.senders sender).by_tag g
 
-let obsoleted (t : 'h t) ~view ~(id : Msg_id.t) ~ann =
-  match Hashtbl.find t view with
-  | exception Not_found -> false
-  | vs ->
-      (match ann with
-      | Annotation.Tag g -> (
-          match tagged vs ~sender:id.Msg_id.sender g with
-          | e -> e.id.Msg_id.sn > id.Msg_id.sn
-          | exception Not_found -> false)
-      | Annotation.Unrelated | Annotation.Enum _ | Annotation.Kenum _ -> false)
-      || obsoleted_reverse vs ~id
-
 let plan (t : 'h t) ~view ~(id : Msg_id.t) ~ann =
   match (Hashtbl.find t view, ann) with
   | exception Not_found -> ([], false)

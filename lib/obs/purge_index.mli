@@ -20,8 +20,8 @@
       fresh sequence number — always, for in-order senders).
 
     Every map is keyed by plain ints, so no probe builds a tuple key.
-    An unannotated message has nothing to obsolete: {!plan} and
-    {!obsoleted} run only the reverse probes and allocate nothing, and
+    An unannotated message has nothing to obsolete: {!plan} runs only
+    the reverse probes and allocates nothing, and
     {!add} costs one entry and one hash bucket. A view's tables
     outlive a drained queue (only the high-water marks reset), so a
     queue that empties after every message reuses them.
@@ -57,10 +57,6 @@ val plan : 'h t -> view:int -> id:Msg_id.t -> ann:Annotation.t -> 'h victim list
     obsoletes {e it} (in which case the fresh message must be dropped
     after its victims are purged — exactly the pairwise semantics).
     The fresh message must not be {!add}ed yet. *)
-
-val obsoleted : 'h t -> view:int -> id:Msg_id.t -> ann:Annotation.t -> bool
-(** The reverse direction alone: would some queued entry of [view]
-    obsolete this message? This is the receive-path cover test. *)
 
 val cardinal : 'h t -> view:int -> int
 (** Indexed entries of one view (for tests). *)

@@ -8,6 +8,7 @@ type timer = {
 type t = {
   mutable fds : (Unix.file_descr * (unit -> unit)) list;
   mutable timers : timer list;
+  mutable before_wait : (unit -> bool) list;
   mutable running : bool;
 }
 
@@ -15,7 +16,7 @@ let create () =
   (* Writing to a peer that died must surface as EPIPE on the write,
      not kill the process. *)
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  { fds = []; timers = []; running = false }
+  { fds = []; timers = []; before_wait = []; running = false }
 
 let now _ = Unix.gettimeofday ()
 
@@ -48,6 +49,23 @@ let every t ~period f =
   timer
 
 let cancel timer = timer.cancelled <- true
+
+let before_wait t hook = t.before_wait <- t.before_wait @ [ hook ]
+
+(* Runs every hook once and returns those that returned [true]: the
+   same list, physically, when all did, so a quiet iteration allocates
+   nothing. *)
+let rec run_hooks = function
+  | [] -> []
+  | hook :: rest as hooks ->
+      let keep = hook () in
+      let kept = run_hooks rest in
+      if not keep then kept else if kept == rest then hooks else hook :: kept
+
+let run_before_wait t =
+  let hooks = t.before_wait in
+  let kept = run_hooks hooks in
+  if kept != hooks then t.before_wait <- kept
 
 let stop t = t.running <- false
 
@@ -90,6 +108,7 @@ let run ?(until = fun () -> false) ?timeout t =
       in
       if t.fds = [] && t.timers = [] then t.running <- false
       else begin
+        run_before_wait t;
         let fds = List.map fst t.fds in
         match Unix.select fds [] [] wait with
         | readable, _, _ ->

@@ -29,6 +29,14 @@ val every : t -> period:float -> (unit -> bool) -> timer
 
 val cancel : timer -> unit
 
+val before_wait : t -> (unit -> bool) -> unit
+(** [before_wait t hook] runs [hook] once per {!run} iteration, after
+    the due timers and the previous iteration's I/O callbacks, just
+    before the loop blocks in [select]; the hook is dropped once it
+    returns [false]. A hook must not register hooks itself. The
+    transport flushes here, so a batch is what one iteration
+    produced. *)
+
 val stop : t -> unit
 (** Make {!run} return after the current iteration. *)
 

@@ -35,8 +35,6 @@ type config = {
   park_timeout : float option;
   tracer : Trace.t;
   metrics : Metrics.t option;
-  flush_interval : float;
-      (* Mesh batching horizon (seconds); 0. flushes on every send. *)
   hostile : Tcp_mesh.hostile_policy;
   divergence_period : float option;
       (* Gossip and check the state digest at this period; None
@@ -58,7 +56,6 @@ let default_config =
     park_timeout = None;
     tracer = Trace.nop;
     metrics = None;
-    flush_interval = 0.001;
     hostile = Tcp_mesh.default_hostile_policy;
     divergence_period = None;
     backpressure = Tcp_mesh.default_backpressure;
@@ -345,8 +342,12 @@ let status_json t =
     (Loop.now t.loop -. t.started_at)
     v.View.id
     (String.concat "," (List.map string_of_int v.View.members));
-  Printf.bprintf b "\"pending\":%d,\"purged\":%d,\"suspicions\":%d,\"next_sn\":%d,"
-    (pending t) (purged t) (suspicions t)
+  Printf.bprintf b
+    "\"pending\":%d,\"purged\":%d,\"evicted\":%d,\"retained_peak\":%d,\"suspicions\":%d,\"next_sn\":%d,"
+    (pending t) (purged t)
+    (Protocol.evicted (proto t))
+    (Protocol.retained_peak (proto t))
+    (suspicions t)
     (Protocol.next_sn (proto t));
   Printf.bprintf b "\"floors\":{%s},"
     (String.concat ","
@@ -462,8 +463,7 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
                    garbage escalates to link reset and quarantine. *)
                 Tcp_mesh.note_misbehavior t.mesh ~src ~reason:"bad-frame"))
       ~tracer:config.tracer ?metrics:config.metrics ~hostile:config.hostile
-      ~backpressure:config.backpressure ~max_frame:config.max_frame
-      ~flush_interval:config.flush_interval ()
+      ~backpressure:config.backpressure ~max_frame:config.max_frame ()
   in
   (* One writer, reused for every outbound packet. *)
   let send = send_packet mesh (Codec.Writer.create ~initial_capacity:256 ()) payload_codec in

@@ -61,11 +61,6 @@ type config = {
           [rt_merge_seconds] and the slow-member and divergence
           counters, labelled by node. End-to-end and per-stage
           latency are measured by [perfbench/], not here. *)
-  flush_interval : float;
-      (** Mesh batching horizon in seconds (see
-          {!Tcp_mesh.create}): outbound packets coalesce per peer for
-          up to this long before one batched write. [0.] writes on
-          every send. *)
   hostile : Tcp_mesh.hostile_policy;
       (** How decode failures (transport framing and packet envelopes
           alike) escalate to link resets and peer quarantine; see
@@ -244,7 +239,9 @@ val wal_segment : 'p t -> int option
 
 val status_json : 'p t -> string
 (** A JSON object describing this node right now: status label,
-    uptime, current view, queue depth, purge/suspicion totals, next
+    uptime, current view, queue depth, purge/suspicion totals, the
+    current incarnation's evictions and peak delivered-store length
+    (see {!Svs_core.Protocol.evicted}), next
     sequence number, per-sender delivery floors, WAL segment, byte
     totals and per-peer link condition. What an admin [/status]
     endpoint serves. *)

@@ -124,7 +124,7 @@ type offender = {
    relation can chain through them; [sent] frames have moved to the
    kernel-bound batch and are immutable from here on. *)
 type oframe = {
-  bytes : string;
+  mutable bytes : string; (* [""] once shed: the walk reads only [fmeta] *)
   fmeta : Shed.key option;
   mutable fshed : bool;
   mutable sent : bool;
@@ -186,7 +186,6 @@ type t = {
   hostile : hostile_policy;
   offenders : (int, offender) Hashtbl.t;
   max_frame : int;
-  flush_interval : float;
   watermark : int; (* seal the open batch at this many payload bytes *)
   bp_policy : backpressure_policy;
   scratch : Buffer.t; (* materializes one frame on the overflow path *)
@@ -394,6 +393,13 @@ and drain_overflow t (out : outgoing) =
     emit_backpressure t out ~stage:"resume"
   end
 
+(* Top-level, so the per-iteration flush allocates no closure. *)
+let rec flush_links t = function
+  | [] -> ()
+  | (_, out) :: rest ->
+      flush_outgoing t out;
+      flush_links t rest
+
 let try_dial t (out : outgoing) =
   if
     (not t.closed) && out.fd = None && (not out.broken)
@@ -405,7 +411,7 @@ let try_dial t (out : outgoing) =
     | () ->
         Unix.set_nonblock fd;
         (* This is the only socket the mesh writes to. Batching is the
-           flush interval's and the watermark's job; Nagle would hold a
+           loop iteration's and the watermark's job; Nagle would hold a
            sub-segment batch back until the peer's delayed ACK. *)
         Unix.setsockopt fd Unix.TCP_NODELAY true;
         out.nodelay <- Unix.getsockopt fd Unix.TCP_NODELAY;
@@ -628,8 +634,7 @@ let on_accept t () =
 
 let create loop ~me ~listen_fd ~peers ~on_frame ?(tracer = Trace.nop) ?metrics
     ?(dial = default_dial_policy) ?(hostile = default_hostile_policy)
-    ?(backpressure = default_backpressure) ?(max_frame = 8 * 1024 * 1024)
-    ?(flush_interval = 0.001) () =
+    ?(backpressure = default_backpressure) ?(max_frame = 8 * 1024 * 1024) () =
   Unix.set_nonblock listen_fd;
   let outgoing =
     List.filter_map
@@ -687,7 +692,6 @@ let create loop ~me ~listen_fd ~peers ~on_frame ?(tracer = Trace.nop) ?metrics
       hostile;
       offenders = Hashtbl.create 16;
       max_frame;
-      flush_interval;
       watermark = min 65536 max_frame;
       bp_policy = backpressure;
       scratch = Buffer.create 512;
@@ -724,13 +728,11 @@ let create loop ~me ~listen_fd ~peers ~on_frame ?(tracer = Trace.nop) ?metrics
          end;
          not t.closed)
       : Loop.timer);
-  if flush_interval > 0.0 then
-    ignore
-      (Loop.every loop ~period:flush_interval (fun () ->
-           if not t.closed then
-             List.iter (fun (_, out) -> flush_outgoing t out) t.outgoing;
-           not t.closed)
-        : Loop.timer);
+  (* A batch is what one loop iteration queued: flush every link when
+     the loop is about to wait. *)
+  Loop.before_wait loop (fun () ->
+      if not t.closed then flush_links t t.outgoing;
+      not t.closed);
   t
 
 (* Append one inner frame to [dst]'s open batch. [len] is the payload
@@ -758,6 +760,7 @@ let enqueue t (out : outgoing) ?meta ~len add src =
             out.shed_frames <- out.shed_frames + 1;
             Metrics.Counter.incr t.c_shed_frames;
             Metrics.Counter.add t.c_shed_bytes (String.length f.bytes);
+            f.bytes <- "";
             match f.fmeta with
             | Some k ->
                 if Trace.enabled t.tracer then
@@ -805,7 +808,6 @@ let enqueue t (out : outgoing) ?meta ~len add src =
     end
     else t.over_budget <- false;
     if out.fd = None then try_dial t out
-    else if t.flush_interval <= 0.0 then flush_outgoing t out
   end
   else begin
     (* Seal before adding when the frame would push the batch past the
@@ -820,8 +822,7 @@ let enqueue t (out : outgoing) ?meta ~len add src =
     out.batch_frames <- out.batch_frames + 1;
     out.queued_frames <- out.queued_frames + 1;
     if out.fd = None then try_dial t out;
-    if t.flush_interval <= 0.0 || Buffer.length out.batch >= t.watermark then
-      flush_outgoing t out
+    if Buffer.length out.batch >= t.watermark then flush_outgoing t out
   end
 
 let send_from t ~dst ?meta ~len add src =
@@ -842,7 +843,7 @@ let add_writer batch w = Codec.Writer.add_to_buffer w batch
 let send_writer t ~dst ?meta w =
   send_from t ~dst ?meta ~len:(Codec.Writer.length w) add_writer w
 
-let flush t = if not t.closed then List.iter (fun (_, out) -> flush_outgoing t out) t.outgoing
+let flush t = if not t.closed then flush_links t t.outgoing
 
 let bytes_out t = Metrics.Counter.value t.c_bytes_out
 

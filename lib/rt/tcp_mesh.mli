@@ -11,12 +11,14 @@
     first outer frame on a connection is the hello (the dialer's id in
     decimal); every later outer frame is a {e batch}: inner frames
     packed back to back, each a varint length followed by its bytes.
-    Small multicasts sent within one flush interval coalesce into a
-    single batch — one length prefix, one write syscall — instead of
-    one syscall per message per peer. Inner frames are the unit the
+    The frames one iteration of the {!Loop} queues for a peer coalesce
+    into a single batch — one length prefix, one write syscall —
+    instead of one syscall per message per peer: the mesh flushes
+    every link from a {!Loop.before_wait} hook, just before the loop
+    blocks. Inner frames are the unit the
     protocol sees; batching is invisible above this module. Dialled
     sockets — the only ones the mesh writes to — set [TCP_NODELAY],
-    so the flush interval and the watermark are the only coalescing:
+    so the loop iteration and the watermark are the only coalescing:
     the kernel never holds a sealed batch back for a delayed ACK.
 
     {b Zero-copy paths.} Outbound frames are built straight into the
@@ -139,7 +141,6 @@ val create :
   ?hostile:hostile_policy ->
   ?backpressure:backpressure_policy ->
   ?max_frame:int ->
-  ?flush_interval:float ->
   unit ->
   t
 (** Starts accepting and dialing immediately; dials are retried per
@@ -155,11 +156,9 @@ val create :
     connection's inbound buffer: decode (or copy) before returning,
     never retain the slice.
 
-    [flush_interval] (seconds, default 1 ms) is the batching horizon:
-    sends accumulate in a per-peer batch that is sealed and written on
-    the next flush tick, when it reaches the watermark
-    (min(64 KiB, max_frame)), or immediately when [flush_interval] is
-    [0.] (one write per send — the pre-batching behaviour).
+    Sends accumulate in a per-peer batch that is sealed and written
+    when the loop is about to wait (one batch per loop iteration), or
+    earlier when it reaches the watermark (min(64 KiB, max_frame)).
 
     [hostile] (default {!default_hostile_policy}) governs how decode
     failures escalate to link resets and quarantine; inbound framing
@@ -207,7 +206,7 @@ val send_writer : t -> dst:int -> ?meta:Svs_obs.Shed.key -> Svs_codec.Codec.Writ
 
 val flush : t -> unit
 (** Seal and write every peer's pending output now, without waiting
-    for the flush tick. *)
+    for the loop to go idle. *)
 
 val note_misbehavior : t -> src:int -> reason:string -> unit
 (** Report a decode failure attributed to [src] from a layer above the

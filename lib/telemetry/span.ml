@@ -7,6 +7,7 @@ type timeline = {
   deliver : (int * float) list;
   stable : (int * float) list;
   purged : (int * float) list;
+  evicted : (int * float) list;
   shed : (int * float) list;
 }
 
@@ -23,6 +24,7 @@ type report = {
   messages : int;
   deliveries : int;
   purges : int;
+  evictions : int;
   sheds : int;
   shed_effectiveness : float;
       (* Fraction of per-peer transmissions that semantic shedding
@@ -79,6 +81,7 @@ let event_node : Trace.event -> int = function
   | Deliver { node; _ }
   | StableMsg { node; _ }
   | Purge { node; _ }
+  | Evict { node; _ }
   | ViewInstall { node; _ }
   | ConsensusDecide { node; _ }
   | Suspect { node; _ }
@@ -105,6 +108,7 @@ type cell = {
   mutable c_deliver : (int * float) list;
   mutable c_stable : (int * float) list;
   mutable c_purged : (int * float) list;
+  mutable c_evicted : (int * float) list;
   mutable c_shed : (int * float) list;
 }
 
@@ -123,6 +127,7 @@ let cells records =
             c_deliver = [];
             c_stable = [];
             c_purged = [];
+            c_evicted = [];
             c_shed = [];
           }
         in
@@ -151,6 +156,9 @@ let cells records =
       | Purge { node; sender; sn; _ } ->
           let c = cell sender sn in
           c.c_purged <- (node, t) :: c.c_purged
+      | Evict { node; sender; sn; _ } ->
+          let c = cell sender sn in
+          c.c_evicted <- (node, t) :: c.c_evicted
       | Shed { peer; sender; sn; _ } ->
           let c = cell sender sn in
           c.c_shed <- (peer, t) :: c.c_shed
@@ -171,6 +179,7 @@ let timelines streams =
         deliver = List.rev c.c_deliver;
         stable = List.rev c.c_stable;
         purged = List.rev c.c_purged;
+        evicted = List.rev c.c_evicted;
         shed = List.rev c.c_shed;
       }
       :: acc)
@@ -206,7 +215,7 @@ let analyze ?(block_threshold = 5.0) streams =
   in
   (* Span populations. *)
   let delivery = ref [] and remote = ref [] and stability = ref [] and purge_lat = ref [] in
-  let deliveries = ref 0 and purges = ref 0 and messages = ref 0 in
+  let deliveries = ref 0 and purges = ref 0 and evictions = ref 0 and messages = ref 0 in
   let sheds = ref 0 and txs = ref 0 in
   let first_submit = ref infinity and last_deliver = ref neg_infinity in
   List.iter
@@ -229,6 +238,7 @@ let analyze ?(block_threshold = 5.0) streams =
           List.iter (fun (_, t) -> purge_lat := (t -. s) :: !purge_lat) tl.purged);
       deliveries := !deliveries + List.length tl.deliver;
       purges := !purges + List.length tl.purged;
+      evictions := !evictions + List.length tl.evicted;
       sheds := !sheds + List.length tl.shed;
       txs := !txs + List.length tl.tx;
       List.iter (fun (_, t) -> if t > !last_deliver then last_deliver := t) tl.deliver)
@@ -271,9 +281,12 @@ let analyze ?(block_threshold = 5.0) streams =
       | StableMsg _ -> stable_seen := true
       | _ -> ())
     records;
+  (* A message evicted as covered left the PRED bookkeeping without
+     becoming stable: covered, not stuck. *)
   if !stable_seen then begin
     let never =
-      List.length (List.filter (fun tl -> tl.deliver <> [] && tl.stable = []) tls)
+      List.length
+        (List.filter (fun tl -> tl.deliver <> [] && tl.stable = [] && tl.evicted = []) tls)
     in
     if never > 0 then anomalies := Never_stable { messages = never } :: !anomalies
   end;
@@ -286,6 +299,7 @@ let analyze ?(block_threshold = 5.0) streams =
     messages = !messages;
     deliveries = !deliveries;
     purges = !purges;
+    evictions = !evictions;
     sheds = !sheds;
     shed_effectiveness =
       (let total = !sheds + !txs in
@@ -322,13 +336,13 @@ let report_to_json r =
   let anomaly_count pred = List.length (List.filter pred r.anomalies) in
   Printf.sprintf
     "{\"bench\":\"rt_throughput\",\"nodes\":%d,\"events\":%d,\"messages\":%d,\
-     \"deliveries\":%d,\"purged\":%d,\"shed\":%d,\"shed_effectiveness\":%s,\
+     \"deliveries\":%d,\"purged\":%d,\"evicted\":%d,\"shed\":%d,\"shed_effectiveness\":%s,\
      \"span_s\":%s,\"msgs_per_s\":%s,\
      \"delivery_latency_s\":%s,\"remote_delivery_latency_s\":%s,\"stability_lag_s\":%s,\
      \"purge_latency_s\":%s,\"purge_effectiveness\":%s,\"view_changes\":%d,\
      \"view_span_s\":%s,\"merge_s\":%s,\"anomalies\":{\"never_stable\":%d,\
      \"floor_regressions\":%d,\"long_blocks\":%d}}"
-    (List.length r.nodes) r.events r.messages r.deliveries r.purges r.sheds
+    (List.length r.nodes) r.events r.messages r.deliveries r.purges r.evictions r.sheds
     (float_str r.shed_effectiveness) (float_str r.span)
     (float_str r.msgs_per_s)
     (stat_json r.delivery_latency)
@@ -358,6 +372,7 @@ let pp_timeline ppf tl =
   if tl.deliver <> [] then Format.fprintf ppf " deliver[%a]" pp_times tl.deliver;
   if tl.stable <> [] then Format.fprintf ppf " stable[%a]" pp_times tl.stable;
   if tl.purged <> [] then Format.fprintf ppf " purged[%a]" pp_times tl.purged;
+  if tl.evicted <> [] then Format.fprintf ppf " evicted[%a]" pp_times tl.evicted;
   if tl.shed <> [] then Format.fprintf ppf " shed[%a]" pp_times tl.shed;
   Format.fprintf ppf "@]"
 
@@ -390,6 +405,8 @@ let pp_report ppf r =
   Format.fprintf ppf "deliveries       %d@," r.deliveries;
   Format.fprintf ppf "purged           %d (effectiveness %.3f)@," r.purges
     r.purge_effectiveness;
+  Format.fprintf ppf "evicted          %d (covered by a later delivery before stable)@,"
+    r.evictions;
   Format.fprintf ppf "shed             %d (effectiveness %.3f; tx-without-deliver at a \
                       shedding peer is expected)@,"
     r.sheds r.shed_effectiveness;

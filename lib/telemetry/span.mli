@@ -1,7 +1,8 @@
 (** Offline analysis of {!Trace} streams: merge per-node JSONL traces,
     reconstruct per-message lifecycle timelines, and summarise the
     numbers the paper's argument is about — end-to-end delivery
-    latency, stability lag, purge latency and effectiveness, blocked
+    latency, stability lag (a message evicted as covered counts as
+    covered, not as never stable), purge latency and effectiveness, blocked
     and view-change spans.
 
     Every multicast already carries a stable identity (sender
@@ -24,6 +25,10 @@ type timeline = {
   deliver : (int * float) list;  (** (node, delivered to app). *)
   stable : (int * float) list;  (** (node, declared stable). *)
   purged : (int * float) list;  (** (node, purged as obsolete). *)
+  evicted : (int * float) list;
+      (** (node, evicted from the PRED bookkeeping because a later
+          delivery there covers it). Such a message is covered, not
+          stuck: it needs no [stable]. *)
   shed : (int * float) list;
       (** (peer, shed from a transport queue towards that peer). A
           [tx] with no [deliver] at a shedding peer is expected, not
@@ -37,9 +42,9 @@ type stat = { count : int; mean : float; p50 : float; p99 : float; max : float }
 
 type anomaly =
   | Never_stable of { messages : int }
-      (** Messages delivered somewhere but never declared stable
-          anywhere, while the trace shows stability tracking was
-          active. A small tail is normal in a finite run; a large
+      (** Messages delivered somewhere but never declared stable nor
+          evicted anywhere, while the trace shows stability tracking
+          was active. A small tail is normal in a finite run; a large
           count means floor gossip is not converging. *)
   | Floor_regression of { node : int; sender : int; sn : int; prev : int }
       (** [node] delivered [sn] from [sender] after already delivering
@@ -54,6 +59,7 @@ type report = {
   messages : int;  (** Distinct submitted messages. *)
   deliveries : int;
   purges : int;
+  evictions : int;  (** Delivered messages evicted as covered ([Evict]). *)
   sheds : int;  (** Frames shed from transport queues ([Shed] events). *)
   shed_effectiveness : float;
       (** Fraction of per-peer transmissions semantic shedding saved:

@@ -7,6 +7,7 @@ type event =
   | Deliver of { node : int; view_id : int; sender : int; sn : int }
   | StableMsg of { node : int; sender : int; sn : int }
   | Purge of { node : int; view_id : int; at_step : site; sender : int; sn : int }
+  | Evict of { node : int; view_id : int; sender : int; sn : int }
   | ViewInstall of { node : int; view_id : int; members : int list }
   | ConsensusDecide of { node : int; view_id : int }
   | Suspect of { node : int; suspect : int }
@@ -157,6 +158,12 @@ let record_to_json { time; seq; event } =
       field "node" node;
       field "view" view_id;
       Buffer.add_string b (Printf.sprintf ",\"site\":\"%s\"" (site_name at_step));
+      field "sender" sender;
+      field "sn" sn
+  | Evict { node; view_id; sender; sn } ->
+      Buffer.add_string b "\"evict\"";
+      field "node" node;
+      field "view" view_id;
       field "sender" sender;
       field "sn" sn
   | ViewInstall { node; view_id; members } ->
@@ -406,6 +413,8 @@ let record_of_json line =
           let at_step = match site_of_name (str "site") with Some s -> s | None -> raise Bad in
           Purge
             { node = int "node"; view_id = int "view"; at_step; sender = int "sender"; sn = int "sn" }
+      | "evict" ->
+          Evict { node = int "node"; view_id = int "view"; sender = int "sender"; sn = int "sn" }
       | "view_install" ->
           ViewInstall { node = int "node"; view_id = int "view"; members = arr "members" }
       | "consensus_decide" -> ConsensusDecide { node = int "node"; view_id = int "view" }
@@ -456,6 +465,8 @@ let pp_event ppf = function
   | Purge { node; view_id; at_step; sender; sn } ->
       Format.fprintf ppf "purge(node=%d view=%d site=%s msg=%d:%d)" node view_id
         (site_name at_step) sender sn
+  | Evict { node; view_id; sender; sn } ->
+      Format.fprintf ppf "evict(node=%d view=%d msg=%d:%d)" node view_id sender sn
   | ViewInstall { node; view_id; members } ->
       Format.fprintf ppf "view_install(node=%d view=%d members={%a})" node view_id
         (Format.pp_print_list

@@ -46,6 +46,11 @@ type event =
   | Purge of { node : int; view_id : int; at_step : site; sender : int; sn : int }
       (** One event per purged message: [sender]/[sn] identify the
           message dropped as obsolete. *)
+  | Evict of { node : int; view_id : int; sender : int; sn : int }
+      (** Message [(sender, sn)], delivered at [node], was evicted from
+          the PRED bookkeeping because a later delivery there covers
+          it: it leaves covered rather than stable, so no [StableMsg]
+          follows at [node]. *)
   | ViewInstall of { node : int; view_id : int; members : int list }
   | ConsensusDecide of { node : int; view_id : int }
   | Suspect of { node : int; suspect : int }

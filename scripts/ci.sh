@@ -12,10 +12,11 @@
 #                        observability surface (admin endpoint +
 #                        svs_trace analyzer)
 #   scripts/ci.sh bench-smoke
-#                        one short perfbench saturate run (2 s in
-#                        all), gated on exit status 0, the Checker
-#                        verdict "correct": true and a words/msg
-#                        allocation budget — no timing gates
+#                        one short perfbench saturate run and one
+#                        quake-paced run (2 s each in all), each gated
+#                        on exit status 0, the Checker verdict
+#                        "correct": true and a words/msg allocation
+#                        budget — no timing gates
 #   scripts/ci.sh fuzz-smoke
 #                        run the byte-level fuzz suite with a bigger
 #                        iteration budget (FUZZ_ITERS, default 2000)
@@ -29,12 +30,12 @@
 #                        and on frames shed towards the wedged member
 #   scripts/ci.sh chaos  the full chaos sweep (20 seeds x every
 #                        scenario x both oracle modes) plus the
-#                        drop-cover and split-brain mutation
-#                        self-tests
+#                        drop-cover, split-brain and evict-uncovered
+#                        mutation self-tests
 #   scripts/ci.sh mc     the full model-checking sweep: every svs_mc
 #                        preset explored exhaustively, the DPOR
 #                        reduction compared against naive DFS for
-#                        soundness, and all three seeded mutations
+#                        soundness, and all four seeded mutations
 #                        caught with replay-verified counterexamples
 #                        (the quick mc smoke below runs on every tier)
 set -eu
@@ -160,20 +161,31 @@ if [ "${1:-}" = "smoke" ]; then
   echo "ci: observability smoke OK"
 fi
 
-if [ "${1:-}" = "bench-smoke" ] || [ "${1:-}" = "smoke" ]; then
-  # Runtime fast path: a short saturate run through the benchmark's own
-  # oracle (perfbench/ is the one runtime benchmark; see its README).
-  perfbench_correct saturate --seconds 2 --trace 0
-  # Allocation is deterministic enough to gate: this run measures 166.0
-  # minor words per message (five runs, 166.02-166.03); the budget
-  # leaves 10 % headroom. Wall-clock figures stay ungated.
-  words_budget=183
+# Gate the last perfbench run's minor words per message on a budget.
+words_gate() {
+  wl=$1; words_budget=$2
   words=$(printf '%s\n' "$pb_json" | \
     sed -n 's/.*"words_per_msg": {"value": \([0-9.]*\).*/\1/p')
   [ -n "$words" ] && awk -v w="$words" -v b="$words_budget" 'BEGIN { exit !(w <= b) }' || {
-    echo "ci: perfbench saturate allocates ${words:-?} words/msg (budget $words_budget)" >&2
+    echo "ci: perfbench $wl allocates ${words:-?} words/msg (budget $words_budget)" >&2
     exit 1; }
-  echo "ci: perfbench saturate words/msg $words (budget $words_budget)"
+  echo "ci: perfbench $wl words/msg $words (budget $words_budget)"
+}
+
+if [ "${1:-}" = "bench-smoke" ] || [ "${1:-}" = "smoke" ]; then
+  # Runtime fast path: short saturate and quake-paced runs through the
+  # benchmark's own oracle (perfbench/ is the one runtime benchmark;
+  # see its README). Allocation is deterministic enough to gate; each
+  # budget leaves 10 % headroom over five runs of that setting.
+  # Wall-clock figures stay ungated.
+  # saturate (unannotated, the purge index idle): 166.0 words/msg
+  # (166.02-166.03).
+  perfbench_correct saturate --seconds 2 --trace 0
+  words_gate saturate 183
+  # quake-paced (annotated, purging and eviction at work): 417.6
+  # words/msg (417.26-418.03).
+  perfbench_correct quake-paced --seconds 2 --trace 0
+  words_gate quake-paced 459
 fi
 
 if [ "${1:-}" = "fuzz-smoke" ]; then
@@ -215,7 +227,7 @@ fi
 
 if [ "${1:-}" = "chaos" ]; then
   chaos_json --seeds 20
-  dune exec bin/svs_chaos.exe -- --self-test drop-cover,split-brain --seeds 5
+  dune exec bin/svs_chaos.exe -- --self-test drop-cover,split-brain,evict-uncovered --seeds 5
 fi
 
 if [ "${1:-}" = "mc" ]; then
@@ -244,7 +256,7 @@ if [ "${1:-}" = "mc" ]; then
   # must replay deterministically.
   mc_dir=$(mktemp -d)
   trap 'rm -rf "$mc_dir"' EXIT
-  for mut in drop-cover:smoke dup-restart:restart split-brain:smoke; do
+  for mut in drop-cover:smoke dup-restart:restart split-brain:smoke evict-uncovered:vs; do
     kind=${mut%%:*}; preset=${mut##*:}
     dune exec bin/svs_mc.exe -- --preset "$preset" --mutate "$kind" \
       --trace-out "$mc_dir/$kind.trace" > /dev/null || {

@@ -448,7 +448,7 @@ let pp_verdict (v : Self_test.verdict) =
     (List.length v.unclean)
 
 let test_sweep_rows_pass () =
-  Alcotest.(check int) "five sweep rows" 5 (List.length sweep_rows);
+  Alcotest.(check int) "six sweep rows" 6 (List.length sweep_rows);
   List.iter
     (fun ((t : Self_test.t), _, _) ->
       let runs = Self_test.run ~config:Runner.default_config ~seeds:[ 1 ] t in

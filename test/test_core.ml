@@ -395,6 +395,44 @@ let test_proto_local_pred_tracking () =
   let pred = List.map (fun d -> d.Types.payload) (Protocol.accepted_in_view p1) in
   Alcotest.(check (list int)) "delivered ++ queued" [ 1; 2; 3 ] pred
 
+(* A delivery evicts the delivered messages it covers from the PRED
+   bookkeeping: a Tag lineage keeps its newest message, an Enum drops
+   what it names, a Kenum the distances it sets. Unannotated messages
+   stay, and with purging off nothing is evicted. *)
+let test_proto_evicts_covered () =
+  let kenum ds =
+    let bm = Bitvec.create ~k:4 in
+    List.iter (Bitvec.set bm) ds;
+    Annotation.Kenum bm
+  in
+  let run semantic =
+    let p =
+      Protocol.create ~me:0 ~initial_view:(View.initial ~members:[ 0 ]) ~semantic
+        ~suspects:(fun _ -> false) ()
+    in
+    List.iter
+      (fun (v, ann) ->
+        ignore (Protocol.multicast p ~ann v);
+        ignore (Protocol.deliver p))
+      [
+        (0, Annotation.Unrelated);
+        (1, Annotation.Tag 1);
+        (2, Annotation.Tag 2);
+        (3, Annotation.Tag 1);
+        (4, Annotation.Enum [ Msg_id.make ~sender:0 ~sn:2 ]);
+        (5, Annotation.Unrelated);
+        (6, kenum [ 1; 3 ]);
+      ];
+    (p, List.map (fun d -> d.Types.payload) (Protocol.accepted_in_view p))
+  in
+  let p, kept = run true in
+  Alcotest.(check (list int)) "uncovered kept, in order" [ 0; 4; 6 ] kept;
+  Alcotest.(check int) "four evicted" 4 (Protocol.evicted p);
+  Alcotest.(check int) "peak" 4 (Protocol.retained_peak p);
+  let p, kept = run false in
+  Alcotest.(check (list int)) "plain VS keeps all" [ 0; 1; 2; 3; 4; 5; 6 ] kept;
+  Alcotest.(check int) "none evicted" 0 (Protocol.evicted p)
+
 let test_proto_voluntary_leave () =
   (* A member can ask to leave (§3.2: "processes that voluntarily want
      to leave"): it initiates a view change naming itself. *)
@@ -450,6 +488,66 @@ let purge_matches_fixpoint_model =
         |> List.map fst
       in
       queue = expected)
+
+(* Eviction against a pairwise model: process 0 receives a random
+   annotated stream from senders 1 and 2 (Tag, Enum naming earlier
+   messages of either sender, Kenum within k = 8, Unrelated) and
+   delivers at random points. What stays retained is exactly what it
+   delivered minus what a later delivery obsoletes — long enough
+   streams for the store to compact and rebuild its index. *)
+let eviction_matches_pairwise_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 300)
+        (tup4 (int_range 1 2) (int_bound 3) (list_size (int_bound 3) (int_bound 40)) bool))
+  in
+  QCheck.Test.make ~name:"eviction matches the pairwise model" ~count:200 (QCheck.make gen)
+    (fun steps ->
+      let view = View.initial ~members:[ 0; 1; 2 ] in
+      let p = Protocol.create ~me:0 ~initial_view:view ~suspects:(fun _ -> false) () in
+      let next = [| 0; 0; 0 |] and sent = ref [] and delivered = ref [] in
+      let rec drain () =
+        match Protocol.deliver p with
+        | Some (Types.Data d) ->
+            delivered := d :: !delivered;
+            drain ()
+        | Some (Types.View_change _) -> drain ()
+        | None -> ()
+      in
+      List.iter
+        (fun (sender, kind, picks, consume) ->
+          let sn = next.(sender) in
+          next.(sender) <- sn + 1;
+          let ann =
+            match kind with
+            | 0 -> Annotation.Unrelated
+            | 1 -> Annotation.Tag (List.length picks)
+            | 2 ->
+                let earlier = List.rev !sent in
+                Annotation.Enum
+                  (List.filter_map
+                     (fun i -> Option.map (fun d -> d.Types.id) (List.nth_opt earlier i))
+                     picks)
+            | _ ->
+                let bm = Bitvec.create ~k:8 in
+                List.iter (fun i -> Bitvec.set bm ((i mod 8) + 1)) picks;
+                Annotation.Kenum bm
+          in
+          let d = { Types.id = Msg_id.make ~sender ~sn; view_id = 0; payload = 0; ann } in
+          sent := d :: !sent;
+          Protocol.receive p ~src:sender (Types.Wdata d);
+          if consume then drain ())
+        steps;
+      drain ();
+      let order = List.rev !delivered in
+      let rec model = function
+        | [] -> []
+        | d :: later ->
+            if List.exists (fun e -> Types.obsoletes d e) later then model later
+            else d :: model later
+      in
+      List.map (fun d -> d.Types.id) (Protocol.accepted_in_view p)
+      = List.map (fun d -> d.Types.id) (model order))
 
 (* Cross-sender obsolescence through enumeration annotations: member 1
    acknowledges member 0's readings with messages that obsolete them. *)
@@ -1388,7 +1486,7 @@ module Purge_index = Svs_obs.Purge_index
 (* An unannotated message probes a view whose queue holds unannotated
    entries of every sender, a queued Enum naming sns that are not
    probed, and a Kenum entry above the probed sns (so both reverse
-   probes run and miss): neither probe allocates. *)
+   probes run and miss): [plan] allocates nothing. *)
 let test_purge_index_unrelated_allocates_nothing () =
   let idx = Purge_index.create () in
   let seq = ref 0 in
@@ -1408,19 +1506,13 @@ let test_purge_index_unrelated_allocates_nothing () =
   let ids = Array.init alloc_n (fun i -> Msg_id.make ~sender:(i mod 3) ~sn:(20 + i)) in
   let w0 = Gc.minor_words () in
   for i = 0 to alloc_n - 1 do
-    if Purge_index.obsoleted idx ~view:0 ~id:ids.(i) ~ann:Annotation.Unrelated then
-      Alcotest.fail "obsoleted"
-  done;
-  let w1 = Gc.minor_words () in
-  for i = 0 to alloc_n - 1 do
     match Purge_index.plan idx ~view:0 ~id:ids.(i) ~ann:Annotation.Unrelated with
     | [], false -> ()
     | _ -> Alcotest.fail "planned a purge"
   done;
-  let w2 = Gc.minor_words () in
-  let per_call a b = (b -. a) /. float_of_int alloc_n in
-  Alcotest.(check (float 0.0)) "obsoleted words per call" 0.0 (per_call w0 w1);
-  Alcotest.(check (float 0.0)) "plan words per call" 0.0 (per_call w1 w2)
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "plan words per call" 0.0
+    ((w1 -. w0) /. float_of_int alloc_n)
 
 (* Three directly wired protocols, semantic purging on: process 0
    multicasts unannotated ints, its outputs go straight to the others'
@@ -1455,6 +1547,47 @@ let test_protocol_words_per_multicast () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per multicast (budget 100)" per_mcast)
     true (per_mcast <= 100.0)
+
+(* A Kenum stream in which each message covers its predecessor: every
+   delivery evicts the one before it from the PRED bookkeeping, and
+   allocates no more than an unannotated delivery does (the
+   [Some (Data d)] it returns), give or take the index's one-off setup
+   (a sender record and its first arrays: 0.005 words a call leaves
+   room for 100 words in all). Only the [deliver] calls are measured,
+   net of the cost of reading the counter. *)
+let test_protocol_evicting_deliver_words () =
+  let counter_cost =
+    let total = ref 0.0 in
+    for _ = 1 to alloc_n do
+      let w0 = Gc.minor_words () in
+      total := !total +. (Gc.minor_words () -. w0)
+    done;
+    !total
+  in
+  let words ann =
+    let p =
+      Protocol.create ~me:0 ~initial_view:(View.initial ~members:[ 0 ])
+        ~suspects:(fun _ -> false) ()
+    in
+    let total = ref 0.0 in
+    for i = 1 to alloc_n do
+      ignore (Sys.opaque_identity (Protocol.multicast p ~ann i));
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Protocol.deliver p));
+      total := !total +. (Gc.minor_words () -. w0)
+    done;
+    (p, (!total -. counter_cost) /. float_of_int alloc_n)
+  in
+  let bm = Bitvec.create ~k:8 in
+  Bitvec.set bm 1;
+  let _, plain = words Annotation.Unrelated in
+  let p, evicting = words (Annotation.Kenum bm) in
+  Alcotest.(check int) "each delivery evicted its predecessor" (alloc_n - 1) (Protocol.evicted p);
+  Alcotest.(check int) "only the newest retained" 1 (List.length (Protocol.accepted_in_view p));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f words per evicting delivery (unannotated %.4f)" evicting plain)
+    true
+    (evicting <= plain +. 0.005)
 
 (* ------------------------------------------------------------------ *)
 (* Member: the divergence rule, driven directly                        *)
@@ -1740,6 +1873,8 @@ let () =
           Alcotest.test_case "dead protocol inert" `Quick test_proto_receive_when_dead;
           Alcotest.test_case "trigger while blocked" `Quick test_proto_trigger_while_blocked_ignored;
           Alcotest.test_case "local-pred tracking" `Quick test_proto_local_pred_tracking;
+          Alcotest.test_case "delivery evicts covered" `Quick test_proto_evicts_covered;
+          q eviction_matches_pairwise_model;
           Alcotest.test_case "voluntary leave" `Quick test_proto_voluntary_leave;
           Alcotest.test_case "deterministic" `Quick test_proto_deterministic;
           q purge_matches_fixpoint_model;
@@ -1809,6 +1944,8 @@ let () =
             test_purge_index_unrelated_allocates_nothing;
           Alcotest.test_case "protocol words per multicast" `Quick
             test_protocol_words_per_multicast;
+          Alcotest.test_case "evicting delivery words" `Quick
+            test_protocol_evicting_deliver_words;
         ] );
       ( "purge-diff",
         [

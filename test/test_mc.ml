@@ -178,6 +178,16 @@ let test_mutation_split_brain () =
 let test_mutation_dup_restart () =
   find_and_replay "dup-restart" Oracle.Duplicate_after_restart restart_cfg
 
+(* The broken eviction runs in the protocol, not on the log. Under
+   plain VS nothing covers anything, so any eviction is uncovered and
+   some interleaving leaves a survivor without a delivered message.
+   With the chain the smoke preset multicasts, the newest message
+   covers everything before it, so the broken eviction is
+   indistinguishable there. *)
+let test_mutation_evict_uncovered () =
+  find_and_replay "evict-uncovered" Oracle.Evict_uncovered
+    { Model.default with mode = Oracle.Vs; chain = false }
+
 (* ------------------------------------------------------------------ *)
 (* Trace files                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -264,6 +274,8 @@ let () =
             test_mutation_split_brain;
           Alcotest.test_case "dup-restart caught" `Quick
             test_mutation_dup_restart;
+          Alcotest.test_case "evict-uncovered caught" `Quick
+            test_mutation_evict_uncovered;
         ] );
       ( "traces",
         [

@@ -79,6 +79,26 @@ let bitvec_shift_matches_naive =
       List.iter (fun d -> if d <= k && d + shift <= k then Bitvec.set expected (d + shift)) bits;
       Bitvec.equal into expected)
 
+(* [next_set] walks exactly [distances], across word boundaries and
+   from any starting distance. *)
+let bitvec_next_set_matches_distances =
+  QCheck.Test.make ~name:"next_set walks distances" ~count:300
+    QCheck.(pair (list_of_size Gen.(int_range 0 20) (int_range 1 150)) (int_range 1 150))
+    (fun (bits, k) ->
+      let b = Bitvec.create ~k in
+      List.iter (Bitvec.set b) bits;
+      let rec walk d acc =
+        match Bitvec.next_set b d with 0 -> List.rev acc | d -> walk (d + 1) (d :: acc)
+      in
+      walk 1 [] = Bitvec.distances b
+      && List.for_all
+           (fun d ->
+             Bitvec.next_set b d
+             = (match List.filter (fun x -> x >= d) (Bitvec.distances b) with
+               | x :: _ -> x
+               | [] -> 0))
+           (List.init (k + 2) Fun.id))
+
 (* --- Annotation semantics --- *)
 
 let test_tag_relation () =
@@ -511,6 +531,7 @@ let () =
           Alcotest.test_case "or_shifted" `Quick test_bitvec_or_shifted;
           Alcotest.test_case "union/equal/copy" `Quick test_bitvec_union_equal_copy;
           q bitvec_shift_matches_naive;
+          q bitvec_next_set_matches_distances;
         ] );
       ( "annotation",
         [

@@ -70,6 +70,34 @@ let test_loop_until_predicate () =
   Loop.run ~until:(fun () -> !count >= 5) ~timeout:0.5 loop;
   Alcotest.(check bool) "stopped at predicate" true (!count >= 5 && !count < 20)
 
+(* A pipe that stays readable makes every iteration dispatch exactly
+   one read callback, so iterations can be counted. The hook runs once
+   per iteration, after the previous iteration's callback and before
+   this one's; a hook that returns [false] is not run again. *)
+let test_loop_before_wait_hooks () =
+  let loop = Loop.create () in
+  let r, w = Unix.pipe () in
+  ignore (Unix.write_substring w "x" 0 1);
+  let reads = ref 0 and hooks = ref 0 and in_order = ref true and once = ref 0 in
+  Loop.on_readable loop r (fun () ->
+      let buf = Bytes.create 1 in
+      ignore (Unix.read r buf 0 1);
+      ignore (Unix.write_substring w "x" 0 1);
+      incr reads);
+  Loop.before_wait loop (fun () ->
+      if !reads <> !hooks then in_order := false;
+      incr hooks;
+      true);
+  Loop.before_wait loop (fun () ->
+      incr once;
+      !once < 3);
+  Loop.run ~until:(fun () -> !reads >= 20) ~timeout:2.0 loop;
+  Unix.close r;
+  Unix.close w;
+  Alcotest.(check int) "one hook run per iteration" !reads !hooks;
+  Alcotest.(check bool) "each before that iteration's wait" true !in_order;
+  Alcotest.(check int) "dropped after returning false" 3 !once
+
 (* --- Tcp_mesh --- *)
 
 (* on_frame hands out borrowed slices; tests that retain frames copy
@@ -126,6 +154,43 @@ let test_mesh_large_frame () =
       Alcotest.(check int) "length survives" (String.length big) (String.length frame);
       Alcotest.(check bool) "content survives" true (String.equal big frame)
   | None -> Alcotest.fail "large frame not delivered");
+  Tcp_mesh.close mesh0;
+  Tcp_mesh.close mesh1
+
+(* The mesh flushes when the loop is about to wait: a frame sent from a
+   timer callback reaches the peer in the iteration that sent it, with
+   no flush timer to wait for. Iterations are counted by a hook. *)
+let test_mesh_flushes_before_wait () =
+  let loop = Loop.create () in
+  let fd0, addr0 = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
+  let fd1, addr1 = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
+  let peers = [ (0, addr0); (1, addr1) ] in
+  let iteration = ref 0 in
+  Loop.before_wait loop (fun () ->
+      incr iteration;
+      true);
+  let got = ref [] in
+  let mesh0 =
+    Tcp_mesh.create loop ~me:0 ~listen_fd:fd0 ~peers ~on_frame:(fun ~src:_ _ -> ()) ()
+  in
+  let mesh1 =
+    Tcp_mesh.create loop ~me:1 ~listen_fd:fd1 ~peers
+      ~on_frame:(fun ~src:_ frame -> got := (str frame, !iteration) :: !got)
+      ()
+  in
+  (* Bring the link up first: accept, hello. *)
+  Tcp_mesh.send mesh0 ~dst:1 "warm-up";
+  Loop.run ~until:(fun () -> !got <> []) ~timeout:5.0 loop;
+  let sent_in = ref (-1) in
+  ignore
+    (Loop.after loop ~delay:0.0 (fun () ->
+         sent_in := !iteration + 1;
+         Tcp_mesh.send mesh0 ~dst:1 "from-timer"));
+  Loop.run ~until:(fun () -> List.length !got >= 2) ~timeout:5.0 loop;
+  (match !got with
+  | ("from-timer", received_in) :: _ ->
+      Alcotest.(check int) "received in the sending iteration" !sent_in received_in
+  | _ -> Alcotest.fail "timer frame not delivered");
   Tcp_mesh.close mesh0;
   Tcp_mesh.close mesh1
 
@@ -433,6 +498,42 @@ let test_mesh_shed_obsolete_frames () =
   Alcotest.(check int) "survivors + shed = sent" n (List.length sns + shed);
   (* FIFO survives shedding: the survivors arrive in send order. *)
   Alcotest.(check (list int)) "survivors in order" (List.sort compare sns) sns;
+  Tcp_mesh.close mesh0;
+  Tcp_mesh.close mesh1
+
+(* A shed frame is a tombstone for the cover walk only: its bytes are
+   freed at once, not when the link drains. Sixty 8 KiB frames queue
+   behind an undrained link, each shedding its predecessor; what the
+   mesh still holds must be far below the chain's 480 KiB. *)
+let test_mesh_shed_frees_bytes () =
+  let loop = Loop.create () in
+  let fd0, addr0 = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
+  let fd1, addr1 = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
+  let peers = [ (0, addr0); (1, addr1) ] in
+  let bp =
+    { Tcp_mesh.default_backpressure with soft = 4096; hard = 1 lsl 20; resume = 1024 }
+  in
+  let mesh0 =
+    Tcp_mesh.create loop ~me:0 ~listen_fd:fd0 ~peers
+      ~on_frame:(fun ~src:_ _ -> ())
+      ~backpressure:bp ()
+  in
+  let mesh1 =
+    Tcp_mesh.create loop ~me:1 ~listen_fd:fd1 ~peers ~on_frame:(fun ~src:_ _ -> ()) ()
+  in
+  let n = 60 and size = 8192 in
+  for i = 0 to n - 1 do
+    let meta =
+      { Shed.id = Msg_id.make ~sender:0 ~sn:i; ann = Annotation.Tag 7; view = 0 }
+    in
+    Tcp_mesh.send mesh0 ~dst:1 ~meta (Printf.sprintf "%06d|" i ^ String.make (size - 7) 'x')
+  done;
+  Alcotest.(check bool) "most of the chain was shed" true (Tcp_mesh.shed_frames mesh0 >= n - 4);
+  let held = Obj.reachable_words (Obj.repr mesh0) * (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mesh holds %d KiB" (held / 1024))
+    true
+    (held < n * size / 4);
   Tcp_mesh.close mesh0;
   Tcp_mesh.close mesh1
 
@@ -1621,11 +1722,13 @@ let () =
           Alcotest.test_case "every stops on false" `Quick test_loop_every_stops_on_false;
           Alcotest.test_case "readable fd" `Quick test_loop_readable_fd;
           Alcotest.test_case "until predicate" `Quick test_loop_until_predicate;
+          Alcotest.test_case "before-wait hooks" `Quick test_loop_before_wait_hooks;
         ] );
       ( "tcp-mesh",
         [
           Alcotest.test_case "exchange" `Quick test_mesh_exchange;
           Alcotest.test_case "large frame" `Quick test_mesh_large_frame;
+          Alcotest.test_case "flush before the wait" `Quick test_mesh_flushes_before_wait;
           Alcotest.test_case "queue until connected" `Quick test_mesh_queues_until_connected;
           Alcotest.test_case "no silent reconnect" `Quick test_mesh_no_silent_reconnect;
           Alcotest.test_case "unknown destination drop" `Quick test_mesh_unknown_dst_drop;
@@ -1639,6 +1742,7 @@ let () =
           QCheck_alcotest.to_alcotest torn_batch_property;
           Alcotest.test_case "shed obsolete queued frames" `Quick
             test_mesh_shed_obsolete_frames;
+          Alcotest.test_case "shed frames free their bytes" `Quick test_mesh_shed_frees_bytes;
           Alcotest.test_case "no-shed keeps whole chain" `Quick test_mesh_no_shed_keeps_chain;
         ] );
       ("iobuf", [ Alcotest.test_case "burst shrink" `Quick test_iobuf_shrink ]);

@@ -156,6 +156,7 @@ let all_event_shapes =
     Trace.Rx { node = 2; src = 0; sender = 0; sn = 12; view_id = 3 };
     Trace.Deliver { node = 2; view_id = 3; sender = 0; sn = 12 };
     Trace.StableMsg { node = 2; sender = 0; sn = 12 };
+    Trace.Evict { node = 1; view_id = 3; sender = 0; sn = 11 };
   ]
 
 let test_json_round_trip () =
@@ -406,6 +407,23 @@ let test_span_report () =
   Alcotest.(check int) "tight threshold adds Long_block anomalies" 3
     (List.length tight.Span.anomalies)
 
+(* The same run, but node 0 evicts sn 1 (a later delivery covers it)
+   before it can go stable: it is covered, not stuck, so nothing is
+   flagged, and the stability lag still counts sn 0 alone. *)
+let test_span_evicted_is_covered () =
+  let evict =
+    { Trace.time = 2.6; seq = 9; event = Trace.Evict { node = 0; view_id = 0; sender = 0; sn = 1 } }
+  in
+  let r = Span.analyze [ fixture_node0 @ [ evict ]; fixture_node1 ] in
+  Alcotest.(check int) "one eviction" 1 r.Span.evictions;
+  Alcotest.(check int) "no anomaly" 0 (List.length r.Span.anomalies);
+  (match r.Span.stability_lag with
+  | Some s -> Alcotest.(check int) "lag over stable messages only" 1 s.Span.count
+  | None -> Alcotest.fail "no stability lag");
+  match Span.timelines [ fixture_node0 @ [ evict ]; fixture_node1 ] with
+  | [ _; t1 ] -> Alcotest.(check (list (pair int (float 1e-9)))) "evicted" [ (0, 2.6) ] t1.Span.evicted
+  | l -> Alcotest.failf "expected 2 timelines, got %d" (List.length l)
+
 let test_span_floor_regression () =
   let ev time seq event = { Trace.time; seq; event } in
   let records =
@@ -595,6 +613,7 @@ let () =
         [
           Alcotest.test_case "timelines" `Quick test_span_timelines;
           Alcotest.test_case "report stats" `Quick test_span_report;
+          Alcotest.test_case "evicted counts as covered" `Quick test_span_evicted_is_covered;
           Alcotest.test_case "floor regression" `Quick test_span_floor_regression;
           Alcotest.test_case "jsonl load + report json" `Quick test_span_json_and_load;
         ] );
