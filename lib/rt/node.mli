@@ -96,9 +96,8 @@ type config = {
 val default_config : config
 (** Semantic purging on, 100 ms heartbeats (350 ms initial timeout),
     stability gossip every second, no park timeout, telemetry off,
-    1 ms flush interval, default hostile policy, divergence healing
-    off, default backpressure and slow-member policies, 8 MiB max
-    frame. *)
+    default hostile policy, divergence healing off, default
+    backpressure and slow-member policies, 8 MiB max frame. *)
 
 val create :
   Loop.t ->
