@@ -406,6 +406,20 @@ let check_divergence m =
       end
       else reset_streak m
 
+(* The "floors rose" rule: on each host tick, a member whose receive
+   floors rose since its last STABLE sends them, so stability follows
+   delivery by a tick instead of a [stability_period]; the period only
+   resends unchanged floors. The tick also trims what a slow consumer
+   delivered after the last STABLE arrived. *)
+let stability_tick m =
+  if not m.down then begin
+    if Protocol.floors_risen m.proto then begin
+      Protocol.gossip_stability m.proto;
+      drain m
+    end;
+    Protocol.trim_delivered m.proto
+  end
+
 (* Digest gossip: once a period, a member of a settled view sends its
    digest to every other member of it. *)
 let send_digests m =

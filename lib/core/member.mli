@@ -10,7 +10,8 @@
     exclusion → probing-joiner rejoin policy with its contact-cycling
     JOIN nag; merge timing; the divergence digest gossip, detection
     and self-demotion; the laggard rule (report, then evict a peer the
-    driver measures over its limit); stability gossip. Transport,
+    driver measures over its limit); stability gossip, on a timer and
+    on the host's tick once floors rise. Transport,
     detector, measurements, durability and recording stay in the
     driver, reached through {!host}. Timers run on the driver's
     {!Svs_sim.Engine}, armed only when their feature is configured. *)
@@ -99,6 +100,11 @@ val create :
     excluded, member rejoin. [divergence] arms the digest gossip (sent
     every [period]) and its evaluation (half a period later).
     [laggard] arms the laggard rule, ticking every [report_after / 4].
+    [stability_period] arms the [STABLE] timer: every period the
+    member gossips its receive floors. A host that calls
+    {!stability_tick} sends floors on the tick after they rise, so
+    there the period is only the resend of unchanged floors; [Group]
+    has no such tick and relies on the period alone.
     [semantic] and [evict_uncovered] go to every incarnation's
     {!Protocol.create}.
     [merge_spans], [divergences] and [slow_reports] are the driver's
@@ -153,6 +159,14 @@ val trigger_view_change : 'p t -> ?join:int list -> leave:int list -> unit -> un
 val request_join : 'p t -> contact:int -> unit
 
 val drain : 'p t -> unit
+
+val stability_tick : 'p t -> unit
+(** The "floors rose" rule, for a host that ticks at loop speed:
+    gossip [STABLE] if this member's receive floors rose since it last
+    did, then trim what earlier gossip already made stable among the
+    messages delivered since the last trim. Sends nothing while
+    blocked or not a member, and nothing when the floors did not
+    move, so an idle group stays silent. *)
 
 val halt : 'p t -> unit
 (** Crash or shutdown: inputs are ignored and consensus stops. *)

@@ -65,7 +65,17 @@ type 'p t = {
      peer; messages at or below every member's floor are stable and can
      be dropped from the PRED bookkeeping. *)
   peer_floors : (int, (int, int) Hashtbl.t) Hashtbl.t;
+  stable_cache : (int, int) Hashtbl.t; (* sender -> stable floor at the last trim *)
   mutable trimmed : int;
+  (* [floors_version] counts rises of [floors]; [gossiped_version] is
+     its value when STABLE last went out, so a host can send floors
+     the moment they rise. [trim_due]: a message was retained since
+     the last trim, and peers' floors may already cover it.
+     [stable_rounds] counts STABLE broadcasts, for telemetry. *)
+  mutable floors_version : int;
+  mutable gossiped_version : int;
+  mutable trim_due : bool;
+  mutable stable_rounds : int;
   (* Telemetry. The purge counters split the old single total by the
      site of the purge (Figure 1's three shaded steps). [queued_data]
      mirrors the number of Edata entries in [to_deliver] so occupancy
@@ -110,7 +120,12 @@ let create ~me ~initial_view ?(semantic = true) ?(evict_uncovered = false)
     stash = Queue.create ();
     outputs = [];
     peer_floors = Hashtbl.create 16;
+    stable_cache = Hashtbl.create 8;
     trimmed = 0;
+    floors_version = 0;
+    gossiped_version = 0;
+    trim_due = false;
+    stable_rounds = 0;
     tracer;
     clock;
     purged_multicast = counter "multicast";
@@ -241,8 +256,11 @@ let take_outputs t =
 
 let floor_of t sender = match Hashtbl.find t.floors sender with sn -> sn | exception Not_found -> -1
 
-let raise_floor t (id : Msg_id.t) =
-  if id.sn > floor_of t id.sender then Hashtbl.replace t.floors id.sender id.sn
+let raise_floor t ~sender ~sn =
+  if sn > floor_of t sender then begin
+    Hashtbl.replace t.floors sender sn;
+    t.floors_version <- t.floors_version + 1
+  end
 
 (* Purge the planned victims still queued; returns how many were. A
    top-level loop, so an accept with nothing to purge allocates no
@@ -272,7 +290,7 @@ let rec purge_victims t ~site ~view_id removed = function
    victims stay queued, as the receive-side cover test always left
    them. *)
 let accept t ~site (d : 'p data) =
-  raise_floor t d.id;
+  raise_floor t ~sender:d.id.Msg_id.sender ~sn:d.id.Msg_id.sn;
   if not t.semantic then begin
     ignore (Dq.push_back_h t.to_deliver (Edata d) : _ Dq.handle);
     queued_one t
@@ -295,45 +313,61 @@ let accept t ~site (d : 'p data) =
     if removed > 0 then set_queued t (t.queued_data - removed)
   end
 
-let stable_floor t sender =
-  List.fold_left
-    (fun acc p ->
-      let f =
-        if p = t.me then floor_of t sender
-        else
-          match Hashtbl.find_opt t.peer_floors p with
-          | None -> -1
-          | Some tbl -> Option.value ~default:(-1) (Hashtbl.find_opt tbl sender)
-      in
-      Stdlib.min acc f)
-    max_int t.cv.View.members
+let peer_floor t p sender =
+  match Hashtbl.find t.peer_floors p with
+  | tbl -> ( match Hashtbl.find tbl sender with f -> f | exception Not_found -> -1)
+  | exception Not_found -> -1
 
-(* Single pass: count removals while filtering, and resolve each
-   sender's stable floor (a fold over the membership) once instead of
-   per message. *)
+(* The least floor for [sender] over [members]: below it, every member
+   has [sender]'s messages. *)
+let rec stable_floor t sender acc = function
+  | [] -> acc
+  | p :: rest ->
+      let f = if p = t.me then floor_of t sender else peer_floor t p sender in
+      stable_floor t sender (Stdlib.min acc f) rest
+
+(* Bring [stable_cache] up to date: every sender's stable floor, as
+   of now. Returns whether some floor rose since the last refresh. *)
+let refresh_stable_floors t =
+  Hashtbl.fold
+    (fun sender _ rose ->
+      let f = stable_floor t sender max_int t.cv.View.members in
+      match Hashtbl.find t.stable_cache sender with
+      | old when old = f -> rose
+      | old ->
+          Hashtbl.replace t.stable_cache sender f;
+          rose || f > old
+      | exception Not_found ->
+          Hashtbl.replace t.stable_cache sender f;
+          true)
+    t.floors false
+
+(* [trim_stable]'s predicate, top-level so a trim allocates no
+   closure per message. *)
+let unstable t (d : 'p data) =
+  let sender = d.id.Msg_id.sender and sn = d.id.Msg_id.sn in
+  let keep =
+    match Hashtbl.find t.stable_cache sender with f -> sn > f | exception Not_found -> true
+  in
+  if (not keep) && Trace.enabled t.tracer then
+    Trace.emit t.tracer (StableMsg { node = t.me; sender; sn });
+  keep
+
+(* A scan leaves every retained message above its sender's stable
+   floor, so the next one can drop something only once a stable floor
+   rose or a message was delivered since ([trim_due]). Skipping the
+   others matters when one member pins stability: its peers' STABLEs
+   keep arriving every tick, and each scan is O(store). A trim
+   allocates nothing per message. *)
 let trim_stable t =
-  let floors : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let floor_for sender =
-    match Hashtbl.find_opt floors sender with
-    | Some f -> f
-    | None ->
-        let f = stable_floor t sender in
-        Hashtbl.replace floors sender f;
-        f
-  in
-  let removed =
-    Retained.filter_in_place
-      (fun (d : 'p data) ->
-        let keep = d.id.Msg_id.sn > floor_for d.id.Msg_id.sender in
-        if (not keep) && Trace.enabled t.tracer then
-          Trace.emit t.tracer
-            (StableMsg { node = t.me; sender = d.id.Msg_id.sender; sn = d.id.Msg_id.sn });
-        keep)
-      t.delivered_this_view
-  in
-  t.trimmed <- t.trimmed + removed
+  if refresh_stable_floors t || t.trim_due then begin
+    t.trim_due <- false;
+    t.trimmed <- t.trimmed + Retained.filter_in_place unstable t t.delivered_this_view
+  end
 
 let stable_trimmed t = t.trimmed
+
+let trim_delivered t = if t.trim_due && t.status = Member && not t.blocked then trim_stable t
 
 let evicted t = Metrics.Counter.value t.evicted
 
@@ -463,30 +497,42 @@ let handle_init t ~src ~leave ~join =
     try_propose t
   end
 
+let rec note_peer_floors tbl = function
+  | [] -> ()
+  | (sender, sn) :: rest ->
+      (match Hashtbl.find tbl sender with
+      | old when old >= sn -> ()
+      | _ -> Hashtbl.replace tbl sender sn
+      | exception Not_found -> Hashtbl.replace tbl sender sn);
+      note_peer_floors tbl rest
+
 let handle_stable t ~src ~floors =
   if src <> t.me then begin
     let tbl =
-      match Hashtbl.find_opt t.peer_floors src with
-      | Some tbl -> tbl
-      | None ->
+      match Hashtbl.find t.peer_floors src with
+      | tbl -> tbl
+      | exception Not_found ->
           let tbl = Hashtbl.create 8 in
           Hashtbl.replace t.peer_floors src tbl;
           tbl
     in
-    List.iter
-      (fun (sender, sn) ->
-        match Hashtbl.find_opt tbl sender with
-        | Some old when old >= sn -> ()
-        | Some _ | None -> Hashtbl.replace tbl sender sn)
-      floors;
+    note_peer_floors tbl floors;
     trim_stable t
   end
 
 let gossip_stability t =
   if t.status = Member && not t.blocked then begin
+    t.gossiped_version <- t.floors_version;
     let floors = Hashtbl.fold (fun sender sn acc -> (sender, sn) :: acc) t.floors [] in
-    if floors <> [] then send_to_others t (Wstable { floors })
+    if floors <> [] then begin
+      t.stable_rounds <- t.stable_rounds + 1;
+      send_to_others t (Wstable { floors })
+    end
   end
+
+let floors_risen t = t.floors_version <> t.gossiped_version
+
+let stable_rounds t = t.stable_rounds
 
 (* t6. *)
 let handle_pred t ~src ~msgs =
@@ -565,9 +611,7 @@ let rec receive t ~src wire =
 and handle_sync t ~src ~view ~floors ~app =
   if t.status = Joining && View.mem t.me view && view.View.id > t.cv.View.id then begin
     Log.info (fun m -> m "p%d: synced into %a by %d" t.me View.pp view src);
-    List.iter
-      (fun (sender, sn) -> if sn > floor_of t sender then Hashtbl.replace t.floors sender sn)
-      floors;
+    List.iter (fun (sender, sn) -> raise_floor t ~sender ~sn) floors;
     (* A joiner recovering from a damaged log may carry a rolled-back
        sequence counter; the group's floor for us bounds every number
        an earlier incarnation put on the wire that the group has fully
@@ -687,7 +731,7 @@ let note_evicted t (v : 'p data) =
     Trace.emit t.tracer
       (Evict { node = t.me; view_id = v.view_id; sender = v.id.Msg_id.sender; sn = v.id.Msg_id.sn })
 
-let drop_all _ = false
+let drop_all () _ = false
 
 let deliver t =
   if t.status = Parked then None
@@ -700,9 +744,10 @@ let deliver t =
       if t.semantic then Purge_index.remove t.pidx ~view:d.view_id ~id:d.id ~ann:d.ann;
       if d.view_id = t.cv.View.id then begin
         if t.evict_uncovered then
-          ignore (Retained.filter_in_place drop_all t.delivered_this_view : int);
+          ignore (Retained.filter_in_place drop_all () t.delivered_this_view : int);
         if t.semantic then Retained.push t.delivered_this_view d note_evicted t
-        else Retained.add t.delivered_this_view d
+        else Retained.add t.delivered_this_view d;
+        t.trim_due <- true
       end;
       if Trace.enabled t.tracer then
         Trace.emit t.tracer

@@ -196,10 +196,25 @@ val gossip_stability : 'p t -> unit
 (** Broadcast this process's per-sender receive floors ([STABLE]).
     When every member's floor covers a delivered message, it is stable
     and dropped from the PRED bookkeeping, keeping view changes cheap.
-    Call periodically; a no-op while blocked. *)
+    A no-op while blocked or not a member. *)
+
+val floors_risen : 'p t -> bool
+(** Some receive floor rose since STABLE last went out (or none went
+    out yet), so a {!gossip_stability} now tells the peers something
+    new. *)
+
+val trim_delivered : 'p t -> unit
+(** Drop the delivered messages that the floors gossiped so far
+    already make stable, if any message was delivered since the last
+    trim. Receiving [STABLE] trims; this catches the messages a slow
+    consumer delivers after the last [STABLE] arrived. A no-op while
+    blocked or not a member. *)
 
 val stable_trimmed : 'p t -> int
 (** Delivered messages garbage-collected as stable so far. *)
+
+val stable_rounds : 'p t -> int
+(** [STABLE] broadcasts sent so far. *)
 
 val evicted : 'p t -> int
 (** Delivered messages evicted so far because a later delivery covers

@@ -15,12 +15,15 @@ type sender = {
 
 (* A growable array compacted in place: one to two words per message
    (a list cell costs three, a [Dq] entry six), and compaction
-   allocates nothing. An evicted slot is overwritten with slot 0's
-   message, so it pins no message of its own, and is dead because the
-   index no longer maps the id it holds to it. Slots past [len] never
-   keep a trimmed message alive. *)
+   allocates nothing. Every slot at or past [len], and every evicted
+   slot, holds [filler]: the first message the array was made for. So
+   these slots keep at most that one message alive, and the array
+   outlives a trim that empties the store instead of regrowing from
+   nothing. An evicted slot is dead because the index no longer maps
+   the id it holds to it. *)
 type 'p t = {
   mutable arr : 'p data array;
+  mutable filler : 'p data option; (* [Some] once [arr] is not empty *)
   mutable len : int;
   mutable live : int;
   mutable peak : int;
@@ -32,6 +35,7 @@ type 'p t = {
 let create () =
   {
     arr = [||];
+    filler = None;
     len = 0;
     live = 0;
     peak = 0;
@@ -44,6 +48,7 @@ let peak t = t.peak
 
 let clear t =
   t.arr <- [||];
+  t.filler <- None;
   t.len <- 0;
   t.live <- 0;
   t.indexed <- false
@@ -105,38 +110,32 @@ let rebuild t =
     index t i t.arr.(i)
   done
 
-(* Keeps the live elements satisfying [keep], in order, and drops the
-   dead slots; returns how many live elements were dropped. *)
-let filter_in_place keep t =
+(* Keeps the live elements [d] with [keep x d], in order, and drops
+   the dead slots; returns how many live elements were dropped. *)
+let filter_in_place keep x t =
   let j = ref 0 in
   for i = 0 to t.len - 1 do
-    let x = t.arr.(i) in
-    if live_at t i x && keep x then begin
-      t.arr.(!j) <- x;
+    let d = t.arr.(i) in
+    if live_at t i d && keep x d then begin
+      t.arr.(!j) <- d;
       incr j
     end
   done;
   let removed = t.live - !j in
-  if !j = 0 then begin
-    t.arr <- [||];
-    t.len <- 0
-  end
-  else begin
-    Array.fill t.arr !j (t.len - !j) t.arr.(0);
-    t.len <- !j
-  end;
+  (match t.filler with Some f -> Array.fill t.arr !j (t.len - !j) f | None -> ());
+  t.len <- !j;
   t.live <- !j;
   if t.indexed then rebuild t;
   removed
 
-let keep_all _ = true
+let keep_all () _ = true
 
 let evict_at t slot on_evict x =
   if slot >= 0 then begin
     let v = t.arr.(slot) in
     let s = Hashtbl.find t.senders v.id.Msg_id.sender in
     s.slots.(v.id.Msg_id.sn - s.base) <- -1;
-    t.arr.(slot) <- t.arr.(0);
+    (match t.filler with Some f -> t.arr.(slot) <- f | None -> ());
     t.live <- t.live - 1;
     on_evict x v
   end
@@ -189,7 +188,14 @@ let evict_covered t (d : _ data) on_evict x =
 
 let append t x =
   if t.len = Array.length t.arr then begin
-    let arr = Array.make (Stdlib.max 16 (2 * t.len)) x in
+    let f =
+      match t.filler with
+      | Some f -> f
+      | None ->
+          t.filler <- Some x;
+          x
+    in
+    let arr = Array.make (Stdlib.max 16 (2 * t.len)) f in
     Array.blit t.arr 0 arr 0 t.len;
     t.arr <- arr
   end;
@@ -215,7 +221,7 @@ let push t (d : _ data) on_evict x =
   (* Dead slots past half the store: compact, amortized O(1) per
      eviction, so the store stays bounded without stability trims. *)
   let dead = t.len - t.live in
-  if dead > 64 && dead > t.live then ignore (filter_in_place keep_all t : int)
+  if dead > 64 && dead > t.live then ignore (filter_in_place keep_all () t : int)
 
 let fold_right f t acc =
   let acc = ref acc in

@@ -32,10 +32,13 @@ val add : 'p t -> 'p Types.data -> unit
 (** Retain a message and evict nothing: conventional View Synchrony,
     where nothing covers anything. *)
 
-val filter_in_place : ('p Types.data -> bool) -> 'p t -> int
-(** Keep the retained messages satisfying the predicate, in order;
-    returns how many were dropped. The predicate sees each retained
-    message once. *)
+val filter_in_place : ('a -> 'p Types.data -> bool) -> 'a -> 'p t -> int
+(** [filter_in_place keep x t] keeps the retained messages [d] with
+    [keep x d], in order, and returns how many were dropped. [keep]
+    sees each retained message once; like [push]'s [on_evict], it is
+    meant to be a top-level function. The store keeps its array, even
+    when emptied, and
+    its free slots keep at most one dropped message alive. *)
 
 val fold_right : ('p Types.data -> 'a -> 'a) -> 'p t -> 'a -> 'a
 (** Over the retained messages, newest first. *)

@@ -154,6 +154,10 @@ let purged t = Protocol.purged_count (proto t)
 
 let purged_at t site = Protocol.purged_at (proto t) site
 
+let stable_trimmed t = Protocol.stable_trimmed (proto t)
+
+let stable_rounds t = Protocol.stable_rounds (proto t)
+
 let bytes_out t = Tcp_mesh.bytes_out t.mesh
 
 let bytes_in t = Tcp_mesh.bytes_in t.mesh
@@ -595,12 +599,17 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
   Heartbeat.on_rescind hb (fun _ -> Member.on_suspicion core);
   (* Advance the automata's virtual clock to wall time: consensus,
      heartbeats and the member shell's park, stability, divergence,
-     laggard and join timers all run on it. *)
+     laggard and join timers all run on it. The same tick sends this
+     member's floors once they rise, so stability trails delivery by
+     a tick, not by [stability_period]. (A before-wait hook would run
+     once per message on an open loop, and a STABLE round costs
+     about 150 words.) *)
   ignore
     (Loop.every loop ~period:0.01 (fun () ->
          if not t.stopped then begin
            Engine.run ~until:(Loop.now loop -. t.started_at) t.engine;
-           Member.drain core
+           Member.drain core;
+           Member.stability_tick core
          end;
          not t.stopped)
       : Loop.timer);

@@ -39,6 +39,11 @@ type config = {
   semantic : bool;
   heartbeat : Svs_detector.Heartbeat.config;
   stability_period : float option;
+      (** A member sends its receive floors ([STABLE]) on the engine
+          tick (10 ms) after they rise, so delivered messages become
+          stable, and leave the PRED bookkeeping, about a tick after
+          every member has them. This period only resends unchanged
+          floors; [None] turns the resend off. *)
   park_timeout : float option;
       (** Primary-component survival. When set, a member still blocked
           in the same view change after this many wall-clock seconds
@@ -95,7 +100,7 @@ type config = {
 
 val default_config : config
 (** Semantic purging on, 100 ms heartbeats (350 ms initial timeout),
-    stability gossip every second, no park timeout, telemetry off,
+    floors resent every second, no park timeout, telemetry off,
     default hostile policy, divergence healing off, default
     backpressure and slow-member policies, 8 MiB max frame. *)
 
@@ -211,6 +216,13 @@ val purged : 'p t -> int
 
 val purged_at : 'p t -> Svs_telemetry.Trace.site -> int
 (** {!purged}, split by purge site. *)
+
+val stable_trimmed : 'p t -> int
+(** Delivered messages this incarnation dropped from the PRED
+    bookkeeping as stable. *)
+
+val stable_rounds : 'p t -> int
+(** [STABLE] broadcasts this incarnation sent. *)
 
 val bytes_out : 'p t -> int
 (** Bytes written to the TCP mesh so far. *)

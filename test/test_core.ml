@@ -1589,6 +1589,169 @@ let test_protocol_evicting_deliver_words () =
     true
     (evicting <= plain +. 0.005)
 
+(* Three directly wired protocols of view {0,1,2}: [forward ps ~src]
+   hands [src]'s outputs to their destinations' [receive]. *)
+let wired_protocols () =
+  let view = View.initial ~members:[ 0; 1; 2 ] in
+  Array.init 3 (fun me -> Protocol.create ~me ~initial_view:view ~suspects:(fun _ -> false) ())
+
+let rec forward ps ~src = function
+  | [] -> ()
+  | Types.Send { dst; wire } :: rest ->
+      Protocol.receive ps.(dst) ~src wire;
+      forward ps ~src rest
+  | _ :: rest -> forward ps ~src rest
+
+let rec drain_protocol p = match Protocol.deliver p with Some _ -> drain_protocol p | None -> ()
+
+(* Process 0 multicasts [alloc_n] unannotated ints, which everyone
+   delivers; then 1 and 2 gossip their floors to 0. The second STABLE
+   makes every message stable at 0, and the trim that drops all
+   [alloc_n] of them allocates a few dozen words (2's floor table and
+   the floor refresh's closure), not a word per message: measured at
+   0.0020 words per dropped message, budget 0.01. *)
+let test_trim_stable_words () =
+  let ps = wired_protocols () in
+  for i = 1 to alloc_n do
+    ignore (Sys.opaque_identity (Protocol.multicast ps.(0) i));
+    forward ps ~src:0 (Protocol.take_outputs ps.(0))
+  done;
+  Array.iter drain_protocol ps;
+  Protocol.gossip_stability ps.(1);
+  forward ps ~src:1 (Protocol.take_outputs ps.(1));
+  Alcotest.(check int) "nothing stable before 2's floors" 0 (Protocol.stable_trimmed ps.(0));
+  Protocol.gossip_stability ps.(2);
+  let to_0 =
+    List.find_map
+      (function Types.Send { dst = 0; wire } -> Some wire | _ -> None)
+      (Protocol.take_outputs ps.(2))
+    |> Option.get
+  in
+  let w0 = Gc.minor_words () in
+  Protocol.receive ps.(0) ~src:2 to_0;
+  let per_msg = (Gc.minor_words () -. w0) /. float_of_int alloc_n in
+  Alcotest.(check int) "every message trimmed" alloc_n (Protocol.stable_trimmed ps.(0));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f words per trimmed message (budget 0.01)" per_msg)
+    true (per_msg <= 0.01)
+
+(* One STABLE round of a busy group, as the runtime runs it once a
+   tick: process 0 multicasts ten messages that everyone delivers,
+   then every process gossips its floors and every STABLE is received
+   (each receipt trims). Only the round is measured: gossip, receipt
+   and trim of all three processes together. Measured at 153 words a
+   round; the budget leaves about 10 % headroom. *)
+let test_stable_round_words () =
+  let ps = wired_protocols () in
+  let rounds = 2_000 in
+  let total = ref 0.0 in
+  for r = 1 to rounds do
+    for i = 1 to 10 do
+      ignore (Sys.opaque_identity (Protocol.multicast ps.(0) ((10 * r) + i)));
+      forward ps ~src:0 (Protocol.take_outputs ps.(0))
+    done;
+    Array.iter drain_protocol ps;
+    let w0 = Gc.minor_words () in
+    for src = 0 to 2 do
+      Protocol.gossip_stability ps.(src);
+      forward ps ~src (Protocol.take_outputs ps.(src))
+    done;
+    total := !total +. (Gc.minor_words () -. w0)
+  done;
+  let per_round = !total /. float_of_int rounds in
+  Array.iter
+    (fun p ->
+      Alcotest.(check bool) "all but the last round trimmed" true
+        (Protocol.stable_trimmed p >= 10 * (rounds - 1)))
+    ps;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per STABLE round (budget 168)" per_round)
+    true (per_round <= 168.0)
+
+(* Stability pinned: process 2 receives nothing, so no message is ever
+   stable, and 1's floors reach 0 once per tick. A STABLE that raises
+   no stable floor, with nothing delivered since the last trim, cannot
+   drop anything: 0 must not rescan its 200k-message store for it.
+   Rescanning costs about 2.4 ms of CPU per receipt, so 200 receipts
+   take about 0.5 s; skipping, well under the 0.05 s budget. *)
+let test_pinned_stability_skips_scan () =
+  let ps = wired_protocols () in
+  let rec to_0_and_1 ~src = function
+    | [] -> ()
+    | Types.Send { dst; wire } :: rest ->
+        if dst <> 2 then Protocol.receive ps.(dst) ~src wire;
+        to_0_and_1 ~src rest
+    | _ :: rest -> to_0_and_1 ~src rest
+  in
+  let n = 200_000 in
+  for i = 1 to n do
+    ignore (Protocol.multicast ps.(0) i);
+    to_0_and_1 ~src:0 (Protocol.take_outputs ps.(0))
+  done;
+  drain_protocol ps.(0);
+  drain_protocol ps.(1);
+  let stable_from_1 () =
+    Protocol.gossip_stability ps.(1);
+    to_0_and_1 ~src:1 (Protocol.take_outputs ps.(1))
+  in
+  stable_from_1 ();
+  let t0 = Sys.time () in
+  for _ = 1 to 200 do
+    stable_from_1 ()
+  done;
+  let cpu = Sys.time () -. t0 in
+  Alcotest.(check int) "nothing stable" 0 (Protocol.stable_trimmed ps.(0));
+  Alcotest.(check int) "everything retained" n (List.length (Protocol.accepted_in_view ps.(0)));
+  Alcotest.(check bool)
+    (Printf.sprintf "200 idle STABLE receipts took %.4f s of CPU (budget 0.05)" cpu)
+    true (cpu <= 0.05)
+
+(* ------------------------------------------------------------------ *)
+(* Retained: an emptied store keeps its array, not its messages        *)
+(* ------------------------------------------------------------------ *)
+
+module Retained = Svs_core.Retained
+
+let retained_msg sn =
+  {
+    Types.id = Msg_id.make ~sender:0 ~sn;
+    view_id = 0;
+    payload = ref sn;
+    ann = Annotation.Unrelated;
+  }
+
+(* Fill the store with messages only [weak] points at besides it. *)
+let fill_retained r weak =
+  for i = 0 to Weak.length weak - 1 do
+    let d = retained_msg i in
+    Weak.set weak i (Some d);
+    Retained.add r d
+  done
+
+let test_retained_emptied_pins_one () =
+  let n = 1_000 in
+  let r = Retained.create () in
+  let weak = Weak.create n in
+  fill_retained r weak;
+  Alcotest.(check int) "every message dropped" n
+    (Retained.filter_in_place (fun () _ -> false) () r);
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr alive
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d trimmed messages still reachable (at most 1)" !alive n)
+    true (!alive <= 1);
+  (* The array stayed: refilling to the old size allocates no array. *)
+  let again = List.init n (fun i -> retained_msg (n + i)) in
+  let b0 = Gc.allocated_bytes () in
+  List.iter (Retained.add r) again;
+  let bytes = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "refill allocated %.0f bytes (at most 64)" bytes)
+    true (bytes <= 64.0)
+
 (* ------------------------------------------------------------------ *)
 (* Member: the divergence rule, driven directly                        *)
 (* ------------------------------------------------------------------ *)
@@ -1839,6 +2002,44 @@ let test_member_digest_gossip () =
   Engine.run ~until:3.01 e;
   Alcotest.(check int) "none while blocked" 4 (List.length !(f.digests))
 
+(* The "floors rose" rule: a tick sends STABLE to every other member
+   once this member's floors rose, and nothing while they stand still
+   or while it is blocked. *)
+let test_member_stability_tick () =
+  let _, host = fake_host () in
+  let stables = ref 0 in
+  let host =
+    {
+      host with
+      Member.send_wire =
+        (fun ~dst wire ->
+          (match wire with Types.Wstable _ -> incr stables | _ -> ());
+          host.Member.send_wire ~dst wire);
+    }
+  in
+  let m = Member.create (Engine.create ()) ~me:0 ~peers:[ 0; 1; 2 ] ~clock:(fun () -> 0.0) host in
+  Member.stability_tick m;
+  Alcotest.(check int) "no floors yet" 0 !stables;
+  ignore (Member.multicast m 1);
+  Member.stability_tick m;
+  Alcotest.(check int) "own multicast raised a floor" 2 !stables;
+  Member.stability_tick m;
+  Alcotest.(check int) "unchanged floors stay home" 2 !stables;
+  Member.receive m ~src:1
+    (Types.Wdata
+       {
+         Types.id = Msg_id.make ~sender:1 ~sn:0;
+         view_id = 0;
+         payload = 7;
+         ann = Annotation.Unrelated;
+       });
+  Member.stability_tick m;
+  Alcotest.(check int) "a peer's message raised a floor" 4 !stables;
+  ignore (Member.multicast m 2);
+  Member.receive m ~src:1 (Types.Winit { view_id = 0; leave = []; join = [] });
+  Member.stability_tick m;
+  Alcotest.(check int) "none while blocked" 4 !stables
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "svs_core"
@@ -1874,6 +2075,8 @@ let () =
           Alcotest.test_case "trigger while blocked" `Quick test_proto_trigger_while_blocked_ignored;
           Alcotest.test_case "local-pred tracking" `Quick test_proto_local_pred_tracking;
           Alcotest.test_case "delivery evicts covered" `Quick test_proto_evicts_covered;
+          Alcotest.test_case "pinned stability skips the scan" `Quick
+            test_pinned_stability_skips_scan;
           q eviction_matches_pairwise_model;
           Alcotest.test_case "voluntary leave" `Quick test_proto_voluntary_leave;
           Alcotest.test_case "deterministic" `Quick test_proto_deterministic;
@@ -1937,6 +2140,8 @@ let () =
           Alcotest.test_case "laggard episode clears at lag 0" `Quick
             test_member_laggard_episode_clears;
           Alcotest.test_case "digest gossip once a period" `Quick test_member_digest_gossip;
+          Alcotest.test_case "floors go out on the tick they rise" `Quick
+            test_member_stability_tick;
         ] );
       ( "allocation",
         [
@@ -1946,6 +2151,13 @@ let () =
             test_protocol_words_per_multicast;
           Alcotest.test_case "evicting delivery words" `Quick
             test_protocol_evicting_deliver_words;
+          Alcotest.test_case "stable trim words" `Quick test_trim_stable_words;
+          Alcotest.test_case "STABLE round words" `Quick test_stable_round_words;
+        ] );
+      ( "retained",
+        [
+          Alcotest.test_case "emptied store pins at most one" `Quick
+            test_retained_emptied_pins_one;
         ] );
       ( "purge-diff",
         [

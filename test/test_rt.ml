@@ -901,6 +901,42 @@ let test_node_group_multicast () =
     deliveries;
   Array.iter Node.shutdown nodes
 
+(* Floors go out on the engine tick after they rise: with the STABLE
+   resend a minute away, a burst delivered everywhere (each node
+   pulling on its own 5 ms timer) is trimmed everywhere within a few
+   ticks, and an idle group then sends no STABLE at all. *)
+let test_node_floors_on_tick () =
+  let loop = Loop.create () in
+  let config = { node_config with Node.stability_period = Some 60.0 } in
+  let nodes, deliveries = make_group ~config loop 3 in
+  let n = 200 in
+  ignore
+    (Loop.after loop ~delay:0.3 (fun () ->
+         for i = 1 to n do
+           ignore (Node.multicast nodes.(0) i)
+         done));
+  let all_delivered () =
+    Array.for_all (fun ds -> List.length (data_payloads ds) >= n) deliveries
+  in
+  Loop.run ~until:all_delivered ~timeout:10.0 loop;
+  Alcotest.(check bool) "burst delivered everywhere" true (all_delivered ());
+  let delivered_at = Loop.now loop in
+  let all_trimmed () = Array.for_all (fun node -> Node.stable_trimmed node >= n) nodes in
+  Loop.run ~until:all_trimmed ~timeout:5.0 loop;
+  let lag = Loop.now loop -. delivered_at in
+  Array.iteri
+    (fun i node ->
+      Alcotest.(check int) (Printf.sprintf "node %d trimmed the burst" i) n
+        (Node.stable_trimmed node))
+    nodes;
+  Alcotest.(check bool) (Printf.sprintf "trimmed %.3f s after delivery (budget 0.25)" lag) true
+    (lag <= 0.25);
+  let rounds () = Array.fold_left (fun acc node -> acc + Node.stable_rounds node) 0 nodes in
+  let before = rounds () in
+  Loop.run ~timeout:0.5 loop;
+  Alcotest.(check int) "an idle group sends no STABLE" before (rounds ());
+  Array.iter Node.shutdown nodes
+
 let test_node_group_view_change_on_crash () =
   let loop = Loop.create () in
   let nodes, deliveries = make_group loop 3 in
@@ -1767,6 +1803,7 @@ let () =
       ( "node",
         [
           Alcotest.test_case "group multicast" `Slow test_node_group_multicast;
+          Alcotest.test_case "floors go out on the tick" `Slow test_node_floors_on_tick;
           Alcotest.test_case "view change on crash" `Slow test_node_group_view_change_on_crash;
           Alcotest.test_case "purging over TCP" `Slow test_node_purging_over_tcp;
           Alcotest.test_case "park and probe-rejoin" `Slow test_node_park_probe_rejoin;
