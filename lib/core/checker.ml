@@ -159,11 +159,6 @@ let segments t ~p =
   | None -> []
   | Some log -> segments_of (List.rev !log)
 
-let deliveries_in_view t ~p ~view_id =
-  List.concat_map
-    (fun s -> if s.view.View.id = view_id then s.deliveries else [])
-    (segments t ~p)
-
 (* --- Checks. --- *)
 
 let check_integrity_and_fifo t violations =

@@ -112,9 +112,6 @@ val check_converged : t -> survivors:int list -> violation list
     view lists it as a member. Returns one [Not_converged] per
     straggler. *)
 
-val deliveries_in_view : t -> p:int -> view_id:int -> meta list
-(** For tests: what [p] delivered while in the given view. *)
-
 (** {1 The coverage relation}
 
     The building blocks {!verify} checks with, exposed so a mutation

@@ -31,7 +31,6 @@ type config = {
   buffer_capacity : int option;
   detector : detector_mode;
   consensus : consensus_mode;
-  auto_view_change : bool;
   stability_period : float option;
   laggard : laggard option;
   park_timeout : float option;
@@ -54,7 +53,6 @@ let default_config =
     buffer_capacity = None;
     detector = Oracle;
     consensus = Arbiter;
-    auto_view_change = true;
     stability_period = None;
     laggard = None;
     park_timeout = None;
@@ -122,8 +120,6 @@ let purged m = Protocol.purged_count (Member.protocol m.core)
 let purged_at m site = Protocol.purged_at (Member.protocol m.core) site
 
 let tracer c = c.config.tracer
-
-let metrics c = c.config.metrics
 
 let stable_trimmed m = Protocol.stable_trimmed (Member.protocol m.core)
 
@@ -272,8 +268,6 @@ let heal_sets c sets =
 let pause_receive c p = Network.pause_receive c.net ~node:p
 
 let resume_receive c p = Network.resume_receive c.net ~node:p
-
-let receive_paused c p = Network.receive_paused c.net ~node:p
 
 let set_latency c latency = Network.set_latency c.net latency
 
@@ -460,8 +454,7 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
         send_cons =
           (fun ~dst ~view_id msg -> Network.send net ~src:me ~dst (Cons { view_id; msg }));
         suspects = (fun p -> suspects (self ()) p);
-        suspected =
-          (fun () -> if config.auto_view_change then suspected_set (self ()) else []);
+        suspected = (fun () -> suspected_set (self ()));
         propose =
           Option.map
             (fun a ~view_id proposal ->
@@ -500,6 +493,7 @@ let create_cluster eng ~members:member_ids ?(latency = Latency.Zero) ?bandwidth
                  (0.0, 0));
         send_digest =
           (fun ~dst ~view_id digest -> Network.send net ~src:me ~dst (Digest { view_id; digest }));
+        durable_lease = None;
       }
     in
     let core =

@@ -47,8 +47,6 @@ type config = {
           flows), exerting backpressure. *)
   detector : detector_mode;
   consensus : consensus_mode;
-  auto_view_change : bool;
-      (** Trigger a view change (leave = suspected set) on suspicion. *)
   stability_period : float option;
       (** When set, members gossip receive floors at this period and
           garbage-collect stable messages from the PRED bookkeeping
@@ -141,9 +139,6 @@ val checker : 'p cluster -> Checker.t
 val tracer : 'p cluster -> Svs_telemetry.Trace.t
 (** The tracer from the cluster's config. *)
 
-val metrics : 'p cluster -> Svs_telemetry.Metrics.t option
-(** The metrics registry from the cluster's config. *)
-
 val bytes_sent : 'p cluster -> int
 (** Total wire bytes (0 unless a payload codec was supplied). *)
 
@@ -233,8 +228,6 @@ val pause_receive : 'p cluster -> int -> unit
     running. {!resume_receive} drains the queue in order. *)
 
 val resume_receive : 'p cluster -> int -> unit
-
-val receive_paused : 'p cluster -> int -> bool
 
 val set_latency : 'p cluster -> Svs_net.Latency.t -> unit
 (** Swap the network's latency model (chaos latency spikes). *)

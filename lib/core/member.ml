@@ -23,6 +23,7 @@ type 'p host = {
   rejoin : unit -> unit;
   lag : int -> float * int;
   send_digest : dst:int -> view_id:int -> int -> unit;
+  durable_lease : (next_sn:int -> sync:bool -> unit) option;
 }
 
 type divergence = { period : float; rounds : int; heal : bool }
@@ -75,7 +76,22 @@ type 'p t = {
   reported : (int, unit) Hashtbl.t;
   evicting : (int, unit) Hashtbl.t;
   slow_reports : Metrics.Counter.t;
+  (* The sequence lease (with a [durable_lease] host only): the ceiling
+     last handed to the host, and the one known synced. *)
+  mutable leased : int;
+  mutable durable_leased : int;
 }
+
+(* How many sequence numbers one lease ceiling covers. Leases are
+   extended ahead of use: when the headroom above the current sn drops
+   to [lease_low_water], the next ceiling is appended and rides the
+   host's group commit — so the multicast path almost never waits on a
+   sync. The blocking fallback (sn caught up with the durable ceiling)
+   only fires when publishing outruns a whole commit interval's worth
+   of headroom. *)
+let lease_chunk = 8192
+
+let lease_low_water = 2048
 
 let protocol m = m.proto
 
@@ -123,7 +139,8 @@ let recovery m =
   {
     Protocol.view_id = (view m).View.id;
     floors = Protocol.floors m.proto;
-    next_sn = Protocol.next_sn m.proto;
+    next_sn = Stdlib.max (Protocol.next_sn m.proto) m.leased;
+    tainted = false;
   }
 
 let stop_consensus m =
@@ -298,7 +315,28 @@ let on_suspicion m =
     drain m
   end
 
+(* A sequence number must be covered by a durable lease before it goes
+   on the wire, or a restarted incarnation could reuse it. [0] asks the
+   host for the sync alone: the ceiling is already appended. *)
+let extend_lease m durable =
+  let sn = Protocol.next_sn m.proto in
+  if sn >= m.durable_leased then begin
+    if sn >= m.leased then begin
+      m.leased <- sn + lease_chunk;
+      durable ~next_sn:m.leased ~sync:true
+    end
+    else durable ~next_sn:0 ~sync:true;
+    m.durable_leased <- m.leased
+  end
+  else if m.leased - sn <= lease_low_water then begin
+    m.leased <- sn + lease_chunk;
+    durable ~next_sn:m.leased ~sync:false
+  end
+
+let lease_committed m = m.durable_leased <- m.leased
+
 let multicast m ?ann payload =
+  (match m.host.durable_lease with Some durable -> extend_lease m durable | None -> ());
   if m.down then Error `Not_member
   else begin
     let result = Protocol.multicast m.proto ?ann payload in
@@ -480,6 +518,22 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(evict_uncovered = false
     (host : _ host) =
   let evicting = Hashtbl.create 7 in
   let suspects p = Hashtbl.mem evicting p || host.suspects p in
+  (* A tainted salvage cannot prove the durable lease survived: an
+     earlier incarnation may have put sequence numbers above the
+     recovered ceiling on the wire. Over-provision by a full lease
+     chunk (made durable at once), and let the sponsor's floors at
+     SYNC push the counter above anything the group ever saw. *)
+  let recovery =
+    match (recovery, host.durable_lease) with
+    | Some r, Some durable when r.Protocol.tainted ->
+        let next_sn = r.Protocol.next_sn + lease_chunk in
+        Log.warn (fun f ->
+            f "member %d: recovery could not prove the lease suffix intact; leasing %d..%d" me
+              r.Protocol.next_sn next_sn);
+        durable ~next_sn ~sync:true;
+        Some { r with Protocol.next_sn }
+    | r, _ -> r
+  in
   let proto =
     match recovery with
     | Some _ ->
@@ -523,6 +577,8 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(evict_uncovered = false
       reported = Hashtbl.create 7;
       evicting;
       slow_reports;
+      leased = Protocol.next_sn proto;
+      durable_leased = Protocol.next_sn proto;
     }
   in
   let every ?start period f =

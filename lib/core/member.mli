@@ -11,9 +11,10 @@
     JOIN nag; merge timing; the divergence digest gossip, detection
     and self-demotion; the laggard rule (report, then evict a peer the
     driver measures over its limit); stability gossip, on a timer and
-    on the host's tick once floors rise. Transport,
-    detector, measurements, durability and recording stay in the
-    driver, reached through {!host}. Timers run on the driver's
+    on the host's tick once floors rise; the sequence lease (no
+    sequence number goes out above a durable ceiling). Transport,
+    detector, measurements, storage and recording stay in the driver,
+    reached through {!host}. Timers run on the driver's
     {!Svs_sim.Engine}, armed only when their feature is configured. *)
 
 type 'p host = {
@@ -45,6 +46,14 @@ type 'p host = {
   send_digest : dst:int -> view_id:int -> int -> unit;
       (** Digest gossip: deliver this member's digest to [dst], which
           hands it to {!note_digest}. *)
+  durable_lease : (next_sn:int -> sync:bool -> unit) option;
+      (** The sequence lease's log. [durable_lease ~next_sn ~sync]
+          appends a lease record of ceiling [next_sn] (none when
+          [next_sn = 0], which ceilings never are), then with [sync]
+          makes everything appended durable before returning. A host
+          with this callback must call {!lease_committed} after each
+          of its own group commits. [None] runs no lease: a member
+          without a log. *)
 }
 
 type divergence = {
@@ -94,7 +103,9 @@ val create :
   'p host ->
   'p t
 (** A member of the initial view [peers], or with [recovery] a joiner
-    that nags [peers] for readmission. [clock] stamps blocked spans,
+    that nags [peers] for readmission. With a [durable_lease] host, a
+    [tainted] recovery starts one lease chunk (8192) above its
+    recovered [next_sn], made durable before [create] returns. [clock] stamps blocked spans,
     park deadlines and merge spans. [park_timeout] arms the quorum-loss
     watchdog; [merge] (default [true]) makes a parked, or cut-off and
     excluded, member rejoin. [divergence] arms the digest gossip (sent
@@ -142,6 +153,16 @@ val evicting : 'p t -> int -> bool
 
 val multicast :
   'p t -> ?ann:Svs_obs.Annotation.t -> 'p -> ('p Types.data, [ `Blocked | `Not_member ]) result
+(** With a [durable_lease] host, first the lease rule: once the next
+    sequence number reaches the durable ceiling, append a new ceiling
+    (8192 above it) if none covers it and sync; otherwise, once the
+    headroom under the appended ceiling is 2048 or less, append the
+    next ceiling without a sync, for the host's group commit to carry.
+    The lease rule allocates nothing. *)
+
+val lease_committed : 'p t -> unit
+(** The host's group commit made every appended lease ceiling
+    durable. *)
 
 val deliver : 'p t -> 'p Types.delivery option
 
@@ -171,15 +192,17 @@ val stability_tick : 'p t -> unit
 val halt : 'p t -> unit
 (** Crash or shutdown: inputs are ignored and consensus stops. *)
 
-val park : 'p t -> unit
-(** The quorum-loss transition. No-op unless a member. *)
-
 val recovery : 'p t -> Protocol.recovery
-(** The durable slice of the current protocol state. *)
+(** The durable slice of the current protocol state. Its [next_sn] is
+    the larger of the protocol's counter and the leased ceiling, so a
+    new incarnation never reuses a number below a ceiling already
+    handed to the host; it is never [tainted]. *)
 
 val restart : 'p t -> ?recovery:Protocol.recovery -> unit -> unit
 (** Swap in a fresh joiner (amnesiac without [recovery]), re-installing
-    the state-transfer callback. *)
+    the state-transfer callback. The lease ceilings carry over; a
+    [tainted] recovery is not over-provisioned here, only by
+    {!create}. *)
 
 val set_state_transfer : 'p t -> (unit -> string option) -> unit
 

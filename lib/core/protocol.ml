@@ -32,7 +32,7 @@ type 'p vc_state = {
    outside the initial view). *)
 type status = Member | Joining | Parked | Dead
 
-type recovery = { view_id : int; floors : (int * int) list; next_sn : int }
+type recovery = { view_id : int; floors : (int * int) list; next_sn : int; tainted : bool }
 
 type 'p t = {
   me : int;
@@ -43,10 +43,9 @@ type 'p t = {
   mutable status : status;
   mutable state_transfer : unit -> string option;
   mutable next_sn : int;
-  (* Recovery could not prove the durable sequence lease intact (a
-     salvaged WAL with damaged regions): on the next SYNC, bump
-     [next_sn] above the group's floor for us as a second line of
-     defence against reusing a number an earlier incarnation sent. *)
+  (* The recovery was [tainted]: on the next SYNC, bump [next_sn]
+     above the group's floor for us as a second line of defence
+     against reusing a number an earlier incarnation sent. *)
   mutable lease_uncertain : bool;
   to_deliver : 'p entry Dq.t;
   (* Purge indexes over the queued Edata entries (semantic mode only):
@@ -170,10 +169,9 @@ let create_joiner ~me ?recovery ?semantic ?evict_uncovered ?tracer ?metrics ?clo
   | None -> ()
   | Some r ->
       List.iter (fun (sender, sn) -> Hashtbl.replace t.floors sender sn) r.floors;
-      t.next_sn <- r.next_sn);
+      t.next_sn <- r.next_sn;
+      t.lease_uncertain <- r.tainted);
   t
-
-let me t = t.me
 
 let current_view t = t.cv
 
@@ -204,8 +202,6 @@ let park t =
 
 let set_state_transfer t f = t.state_transfer <- f
 
-let mark_lease_uncertain t = t.lease_uncertain <- true
-
 let floors t = Hashtbl.fold (fun sender sn acc -> (sender, sn) :: acc) t.floors []
 
 let next_sn t = t.next_sn
@@ -219,8 +215,6 @@ let purged_at t site = Metrics.Counter.value (purge_counter t site)
 
 let purged_count t =
   purged_at t Trace.At_multicast + purged_at t Trace.At_receive + purged_at t Trace.At_install
-
-let blocked_spans t = t.blocked_spans
 
 let to_deliver_length t = t.queued_data
 
@@ -617,10 +611,9 @@ and handle_sync t ~src ~view ~floors ~app =
        an earlier incarnation put on the wire that the group has fully
        delivered, so starting above it is a second line of defence for
        "never reuse a sequence number" when the durable lease could not
-       be proven intact. Only applied when the embedding flagged the
-       lease as uncertain — an unconditional bump would silently mask
-       genuine amnesia (a node restarting without its log), which must
-       stay detectable. *)
+       be proven intact. Only applied after a [tainted] recovery — an
+       unconditional bump would silently mask genuine amnesia (a node
+       restarting without its log), which must stay detectable. *)
     if t.lease_uncertain then begin
       if floor_of t t.me + 1 > t.next_sn then t.next_sn <- floor_of t t.me + 1;
       t.lease_uncertain <- false

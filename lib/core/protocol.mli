@@ -31,13 +31,22 @@
 
 type 'p t
 
-type recovery = { view_id : int; floors : (int * int) list; next_sn : int }
+type recovery = { view_id : int; floors : (int * int) list; next_sn : int; tainted : bool }
 (** The durable slice of a process's state, as recovered from a
     write-ahead log (or snapshotted by the simulator): the id of the
     last installed view, the per-sender delivery floors, and the next
     multicast sequence number. Restoring it across a restart is what
     keeps Integrity (no duplicate delivery, no Msg_id reuse) true
-    under crash–recovery. *)
+    under crash–recovery.
+
+    [tainted]: the log could not prove the durable sequence lease
+    intact (a salvage destroyed records past the last intact
+    snapshot). On its next SYNC the joiner then also raises [next_sn]
+    above the group's delivery floor for it, so no sequence number an
+    earlier incarnation put on the wire — and the group fully
+    delivered — is reused. Only set for a tainted log: an
+    unconditional bump would mask genuine amnesia (a restart without
+    its log), which must stay detectable. *)
 
 val create :
   me:int ->
@@ -118,22 +127,12 @@ val set_state_transfer : 'p t -> (unit -> string option) -> unit
     sponsors a joiner, the callback's result rides the SYNC message
     and surfaces at the joiner as {!Types.Synced}. Default: [None]. *)
 
-val mark_lease_uncertain : 'p t -> unit
-(** Tell a recovering joiner its durable sequence lease could not be
-    proven intact (a salvaged WAL with damaged regions). On its next
-    SYNC it additionally raises [next_sn] above the group's delivery
-    floor for it, so no sequence number an earlier incarnation put on
-    the wire — and the group fully delivered — can be reused. One-shot;
-    cleared by the SYNC that consumes it. *)
-
 val floors : 'p t -> (int * int) list
 (** Per-sender delivery floors (highest accepted sequence number), the
     durable dedup state. Unordered. *)
 
 val next_sn : 'p t -> int
 (** The sequence number the next {!multicast} will use. *)
-
-val me : 'p t -> int
 
 val current_view : 'p t -> View.t
 
@@ -155,10 +154,6 @@ val purged_count : 'p t -> int
 val purged_at : 'p t -> Svs_telemetry.Trace.site -> int
 (** Messages purged at one of Figure 1's three purge sites: on local
     multicast, on reception, or on view installation. *)
-
-val blocked_spans : 'p t -> Svs_telemetry.Metrics.Histogram.t
-(** Durations (per {!create}'s [clock]) of completed blocked periods,
-    from the first [INIT] to the next installation. *)
 
 val multicast :
   'p t -> ?ann:Svs_obs.Annotation.t -> 'p -> ('p Types.data, [ `Blocked | `Not_member ]) result

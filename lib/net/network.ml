@@ -289,10 +289,6 @@ let resume_receive t ~node =
   in
   drain ()
 
-let receive_paused t ~node =
-  check_node t node;
-  t.nodes.(node).paused
-
 let inbox_length t ~node =
   check_node t node;
   Queue.length t.nodes.(node).inbox

@@ -104,8 +104,6 @@ val pause_receive : 'msg t -> node:int -> unit
 
 val resume_receive : 'msg t -> node:int -> unit
 
-val receive_paused : 'msg t -> node:int -> bool
-
 val inbox_length : 'msg t -> node:int -> int
 (** Messages held while the node's receive side is paused. *)
 

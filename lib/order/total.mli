@@ -1,6 +1,6 @@
 (** Semantically reliable total-order multicast (fixed sequencer).
 
-    The second ordered member of the paper's §7 toolkit. Senders
+    An ordered member of the paper's §7 toolkit. Senders
     broadcast data; the sequencer (lowest member id) assigns a global
     sequence which every member follows, so all members deliver
     surviving messages in the same order. Purging is receiver-side:
@@ -9,8 +9,7 @@
     member still skips/delivers the same slots in the same order
     because obsolescence is decided by the (deterministic) annotations.
 
-    Static membership, FIFO-reliable channels, transport-agnostic (like
-    {!Causal}). *)
+    Static membership, FIFO-reliable channels, transport-agnostic. *)
 
 type 'p msg
 

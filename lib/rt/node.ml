@@ -105,17 +105,6 @@ let read_packet pc r =
       Digest { view_id; digest }
   | n -> raise (Codec.Malformed (Printf.sprintf "packet tag %d" n))
 
-(* How many sequence numbers one Lease record covers. Leases are
-   extended ahead of use: when the headroom above the current sn drops
-   to [lease_low_water], the next ceiling is appended to the WAL and
-   rides the periodic group-commit sync — so the multicast hot path
-   almost never waits on an fsync. The blocking fallback (sn caught up
-   with the durable ceiling) only fires when publishing outruns a whole
-   commit interval's worth of headroom. *)
-let lease_chunk = 8192
-
-let lease_low_water = 2048
-
 type 'p t = {
   loop : Loop.t;
   me : int;
@@ -123,20 +112,13 @@ type 'p t = {
   started_at : float;
   core : 'p Member.t;
   wal : Wal.t option;
-  mutable leased : int; (* lease ceiling appended to the WAL *)
-  mutable durable_leased : int; (* lease ceiling known fsynced *)
   mesh : Tcp_mesh.t;
   hb : Heartbeat.t;
   mutable stopped : bool;
   tracer : Trace.t;
   peers_ids : int list;
   suspicions : Metrics.Counter.t;
-  (* Admission control: one-shot callbacks fired by the ready timer
-     once {!would_block} clears. *)
-  mutable ready_callbacks : (unit -> unit) list;
 }
-
-let id t = t.me
 
 let proto t = Member.protocol t.core
 
@@ -218,10 +200,7 @@ let installed t v =
    re-entry duplicate-free; the sequence lease keeps the new
    incarnation's sns fresh. *)
 let rejoin t =
-  let r = Member.recovery t.core in
-  let next_sn = Stdlib.max t.leased r.Protocol.next_sn in
-  t.leased <- next_sn;
-  Member.restart t.core ~recovery:{ r with Protocol.next_sn } ();
+  Member.restart t.core ~recovery:(Member.recovery t.core) ();
   forgive_peers t t.peers_ids
 
 let on_packet t ~src packet =
@@ -247,37 +226,13 @@ let on_packet t ~src packet =
     | Cons { view_id; msg } -> Member.on_cons t.core ~src ~view_id msg
 
 let multicast t ?ann payload =
-  if t.stopped then Error `Not_member
-  else begin
-    (* A sequence number must be covered by a {e durable} lease before
-       it goes on the wire, or a restarted incarnation could reuse it.
-       The lease is extended ahead of use so the extension normally
-       rides the periodic group-commit sync; only a publisher that
-       exhausts the durable headroom blocks on fsync here. *)
-    (match t.wal with
-    | Some w ->
-        let sn = Protocol.next_sn (proto t) in
-        if sn >= t.durable_leased then begin
-          if sn >= t.leased then begin
-            t.leased <- sn + lease_chunk;
-            Wal.append w (Wal.Lease { next_sn = t.leased })
-          end;
-          Wal.sync w;
-          t.durable_leased <- t.leased
-        end
-        else if t.leased - sn <= lease_low_water then begin
-          t.leased <- sn + lease_chunk;
-          Wal.append w (Wal.Lease { next_sn = t.leased })
-        end
-    | None -> ());
-    Member.multicast t.core ?ann payload
-  end
+  if t.stopped then Error `Not_member else Member.multicast t.core ?ann payload
 
 (* Admission control. {!multicast} never blocks the caller — a slow
    peer's frames queue (and shed) in the mesh — so a publisher that
    outruns the group indefinitely would exhaust the mesh budget. A
    well-behaved application checks {!would_block} (or uses
-   {!try_multicast}) and resumes on {!on_ready}. *)
+   {!try_multicast}) and retries later. *)
 let would_block t = Tcp_mesh.would_block t.mesh
 
 let try_multicast t ?ann payload =
@@ -288,8 +243,6 @@ let try_multicast t ?ann payload =
       : (_, [ `Blocked | `Not_member ]) result
       :> (_, [ `Blocked | `Not_member | `Would_block ]) result)
 
-let on_ready t f = t.ready_callbacks <- f :: t.ready_callbacks
-
 let shed_frames t = Tcp_mesh.shed_frames t.mesh
 
 let slow_reports t = Member.slow_reports t.core
@@ -297,15 +250,6 @@ let slow_reports t = Member.slow_reports t.core
 let pause_reads t = Tcp_mesh.pause_reads t.mesh
 
 let resume_reads t = Tcp_mesh.resume_reads t.mesh
-
-(* Admission control's ready callbacks fire once the mesh drains back
-   under its gates. *)
-let fire_ready t =
-  if t.ready_callbacks <> [] && not (would_block t) then begin
-    let cbs = List.rev t.ready_callbacks in
-    t.ready_callbacks <- [];
-    List.iter (fun f -> f ()) cbs
-  end
 
 let deliver t =
   if t.stopped then None
@@ -425,25 +369,6 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
               (if r.Wal.fresh then ", fresh" else ""));
         (Some w, Some r)
   in
-  (* A tainted salvage cannot prove the durable lease survived: some
-     record past the last intact snapshot was destroyed, so an earlier
-     incarnation may have put sequence numbers above the recovered
-     ceiling on the wire. Over-provision by a full lease chunk (made
-     durable immediately) and rely on the sponsor's floors at SYNC to
-     push the counter above anything the group ever saw. *)
-  let recovered_next_sn =
-    match recovered with
-    | Some r when r.Wal.tainted -> r.Wal.next_sn + lease_chunk
-    | Some r -> r.Wal.next_sn
-    | None -> 0
-  in
-  (match (wal, recovered) with
-  | Some w, Some r when r.Wal.tainted ->
-      Log.warn (fun m ->
-          m "node %d: wal salvage could not prove the lease suffix intact; leasing %d..%d" me
-            r.Wal.next_sn recovered_next_sn);
-      Wal.append_durable w (Wal.Lease { next_sn = recovered_next_sn })
-  | _ -> ());
   let node_label = [ ("node", string_of_int me) ] in
   let counter name =
     match config.metrics with
@@ -520,6 +445,12 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
               if st.peer = p then (st.over_hard_s, st.pending) else acc)
             (0.0, 0) (Tcp_mesh.peer_stats mesh));
       send_digest = (fun ~dst ~view_id digest -> send ~dst (Digest { view_id; digest }));
+      durable_lease =
+        Option.map
+          (fun w ~next_sn ~sync ->
+            if next_sn > 0 then Wal.append w (Wal.Lease { next_sn });
+            if sync then Wal.sync w)
+          wal;
     }
   in
   (* The previous incarnation's streams died with it, so a node
@@ -533,7 +464,8 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
           {
             Protocol.view_id = (match r.Wal.view with Some v -> v.View.id | None -> -1);
             floors = r.Wal.floors;
-            next_sn = recovered_next_sn;
+            next_sn = r.Wal.next_sn;
+            tainted = r.Wal.tainted;
           }
     | _ ->
         (* Anchor a brand-new log so even a crash before the first view
@@ -561,9 +493,6 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       ~slow_reports:(counter "rt_slow_member_reports_total")
       host
   in
-  (match recovered with
-  | Some r when r.Wal.tainted -> Protocol.mark_lease_uncertain (Member.protocol core)
-  | _ -> ());
   Option.iter (Member.set_state_transfer core) state_transfer;
   Option.iter (Member.set_state_digest core) state_digest;
   let hb =
@@ -579,15 +508,12 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       started_at;
       core;
       wal;
-      leased = recovered_next_sn;
-      durable_leased = recovered_next_sn;
       mesh;
       hb;
       stopped = false;
       tracer = config.tracer;
       peers_ids = members;
       suspicions = counter "rt_suspicions_total";
-      ready_callbacks = [];
     }
   in
   t_ref := Some t;
@@ -613,23 +539,17 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
          end;
          not t.stopped)
       : Loop.timer);
-  (* Admission-control ready callbacks: a quarter-second cadence is
-     plenty. *)
-  ignore
-    (Loop.every loop ~period:0.25 (fun () ->
-         if not t.stopped then fire_ready t;
-         not t.stopped)
-      : Loop.timer);
   (match wal with
   | None -> ()
   | Some w ->
       (* Group-commit tick: one fsync covers every append since the
-         last — lease extensions ride it, and it writes the latest
-         delivery floor of each sender noted since the last sync. *)
+         last — the member's lease extensions ride it, and it writes
+         the latest delivery floor of each sender noted since the last
+         sync. *)
       ignore
         (Loop.every loop ~period:0.05 (fun () ->
              Wal.sync w;
-             t.durable_leased <- t.leased;
+             Member.lease_committed core;
              not t.stopped)
           : Loop.timer));
   t

@@ -5,7 +5,8 @@
     The same automata that run under the simulator are reused verbatim
     (they are transport-agnostic) — including the member shell
     {!Svs_core.Member}, which makes every consensus, suspicion, park,
-    rejoin and divergence decision for both stacks; their timers live
+    rejoin, divergence and sequence-lease decision for both stacks
+    (the node keeps only the I/O: mesh, WAL, tracing); their timers live
     in a private {!Svs_sim.Engine} that the I/O loop advances to
     wall-clock time.
 
@@ -31,9 +32,6 @@ type slow_member_policy = Svs_core.Member.laggard = {
   report_after : float;
   evict_after : float option;  (** [None]: report but never evict. *)
 }
-
-val default_slow_member : slow_member_policy
-(** Report after 2 s over the hard watermark, evict after 15 s. *)
 
 type config = {
   semantic : bool;
@@ -102,7 +100,8 @@ val default_config : config
 (** Semantic purging on, 100 ms heartbeats (350 ms initial timeout),
     floors resent every second, no park timeout, telemetry off,
     default hostile policy, divergence healing off, default
-    backpressure and slow-member policies, 8 MiB max frame. *)
+    backpressure, a slow member reported after 2 s over the hard
+    watermark and evicted after 15 s, 8 MiB max frame. *)
 
 val create :
   Loop.t ->
@@ -124,8 +123,10 @@ val create :
     became deliverable.
 
     [data_dir] makes the node durable: a {!Wal} in that directory
-    records installed views, per-sender delivery floors, and a
-    sequence-number lease. A node created over a directory that
+    records installed views, per-sender delivery floors, and the
+    member's sequence-number lease ceilings
+    ({!Svs_core.Member.host}'s [durable_lease]; the 50 ms group-commit
+    tick carries lease extensions). A node created over a directory that
     already holds a log is a {e restarted incarnation}: it comes up as
     a joiner (not a member — its previous streams died with it), nags
     the peers with JOIN requests until some member admits it into the
@@ -134,8 +135,9 @@ val create :
     contract under recovery). The recovery is traced as [WalRecovery];
     recovery salvages around corrupt log regions (see {!Wal.open_}),
     and when the salvage cannot prove the durable lease intact the
-    node over-provisions its sequence lease and relies on the
-    sponsor's floors to stay above anything it ever sent.
+    recovery is [tainted]: the member over-provisions its sequence
+    lease and relies on the sponsor's floors to stay above anything it
+    ever sent.
 
     @raise Wal.Open_error when [data_dir] holds another node's log —
     refuse the data dir rather than corrupt it.
@@ -153,8 +155,6 @@ val deliver_all : 'p t -> 'p Svs_core.Types.delivery list
 
 val pending : 'p t -> int
 (** Data messages waiting in the delivery queue. *)
-
-val id : 'p t -> int
 
 val view : 'p t -> Svs_core.View.t
 
@@ -178,7 +178,7 @@ val multicast :
 (** Never blocks the caller: a slow peer's frames queue (and, under
     backpressure, shed) in the mesh. An unchecked publisher can
     therefore outrun the mesh budget — see {!would_block} /
-    {!try_multicast} / {!on_ready} for the admission-control surface. *)
+    {!try_multicast} for the admission-control surface. *)
 
 val would_block : 'p t -> bool
 (** True while the transport asks the application to stop admitting
@@ -192,11 +192,6 @@ val try_multicast :
   ('p Svs_core.Types.data, [ `Blocked | `Not_member | `Would_block ]) result
 (** {!multicast} gated on {!would_block}: refuses with [`Would_block]
     instead of queueing into an overloaded mesh. *)
-
-val on_ready : 'p t -> (unit -> unit) -> unit
-(** Register a one-shot callback fired (from the escalation timer, so
-    within ~¼ s) once {!would_block} has cleared — the resume half of
-    the admission-control handshake. *)
 
 val shed_frames : 'p t -> int
 (** Frames purged from outbound queues by semantic shedding so far. *)

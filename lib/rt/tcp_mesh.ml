@@ -849,15 +849,11 @@ let bytes_out t = Metrics.Counter.value t.c_bytes_out
 
 let bytes_in t = Metrics.Counter.value t.c_bytes_in
 
-let reconnects t = Metrics.Counter.value t.c_reconnects
-
 let frames_dropped t = Metrics.Counter.value t.c_frames_dropped
 
 let frames_oversize t = Metrics.Counter.value t.c_frames_oversize
 
 let writeoff_resets t = Metrics.Counter.value t.c_writeoff_resets
-
-let flushes t = Metrics.Counter.value t.c_flushes
 
 let dial_attempts t ~dst =
   match List.assoc_opt dst t.outgoing with None -> 0 | Some out -> out.attempts

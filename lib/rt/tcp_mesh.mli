@@ -299,9 +299,6 @@ val bytes_out : t -> int
 val bytes_in : t -> int
 (** Bytes read from all incoming connections so far. *)
 
-val reconnects : t -> int
-(** Outgoing links that came up after at least one failed dial. *)
-
 val frames_dropped : t -> int
 (** Frames discarded so far (unknown destination, written-off peer,
     dial cap, oversize, bad hello, bad batch). *)
@@ -312,9 +309,6 @@ val frames_oversize : t -> int
 val writeoff_resets : t -> int
 (** Written-off peers forgiven so far (via {!forget_peer} or an
     inbound hello from a restarted incarnation). *)
-
-val flushes : t -> int
-(** Write syscalls issued so far (all peers). *)
 
 val dial_attempts : t -> dst:int -> int
 (** Consecutive failed dials towards [dst] (0 once connected). *)

@@ -39,6 +39,9 @@
 #                        soundness, and all four seeded mutations
 #                        caught with replay-verified counterexamples
 #                        (the quick mc smoke below runs on every tier)
+#   scripts/ci.sh loc    only print the .ml and .mli line totals under
+#                        lib/ and bin/, raw and non-blank non-comment
+#                        (no build, no tests, no gate)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -47,6 +50,51 @@ cd "$(dirname "$0")/.."
 if git ls-files | grep -q '^_build/'; then
   echo "ci: _build/ is tracked by git — run 'git rm -r --cached _build'" >&2
   exit 1
+fi
+
+# Line counts of OCaml sources: "raw code" for the files named, where
+# a code line is one with anything outside a comment. Comments nest;
+# string and character literals are skipped, so a "(*" inside one
+# opens nothing (strings inside comments are lexed too, as OCaml does).
+loc_count() {
+  awk '
+    FNR == 1 { depth = 0; instr = 0 }
+    {
+      raw++; code = 0; n = length($0)
+      for (i = 1; i <= n; i++) {
+        c = substr($0, i, 1)
+        if (instr) {
+          if (c == "\\") i++
+          else if (c == "\"") instr = 0
+          if (depth == 0) code = 1
+          continue
+        }
+        if (substr($0, i, 2) == "(*") { depth++; i++; continue }
+        if (depth > 0 && substr($0, i, 2) == "*)") { depth--; i++; continue }
+        if (c == "\"") instr = 1
+        else if (substr($0, i, 3) ~ /^\047.\047$/) i += 2
+        else if (substr($0, i, 4) ~ /^\047\\.\047$/) i += 3
+        if (depth == 0 && c !~ /[ \t\r]/) code = 1
+      }
+      if (code) lines++
+    }
+    END { printf "%d %d\n", raw, lines }' "$@"
+}
+
+if [ "${1:-}" = "loc" ]; then
+  total_raw=0; total_code=0
+  for dir in lib bin; do
+    for ext in ml mli; do
+      files=$(find "$dir" -name "*.$ext" | sort)
+      [ -n "$files" ] || continue
+      # shellcheck disable=SC2086
+      set -- $(loc_count $files)
+      printf 'loc: %-4s .%-3s %6d raw %6d code\n' "$dir/" "$ext" "$1" "$2"
+      total_raw=$((total_raw + $1)); total_code=$((total_code + $2))
+    done
+  done
+  printf 'loc: total      %6d raw %6d code\n' "$total_raw" "$total_code"
+  exit 0
 fi
 
 dune build

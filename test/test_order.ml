@@ -1,176 +1,12 @@
-(* Tests for the semantic ordered-multicast toolkit (causal + total). *)
+(* Tests for the semantic total-order multicast. *)
 
 module Engine = Svs_sim.Engine
 module Network = Svs_net.Network
 module Latency = Svs_net.Latency
-module Causal = Svs_order.Causal
 module Total = Svs_order.Total
 module Annotation = Svs_obs.Annotation
 module Msg_id = Svs_obs.Msg_id
 module Rng = Svs_sim.Rng
-
-(* --- Causal rig: n nodes over a simulated network --- *)
-
-type 'p causal_rig = {
-  engine : Engine.t;
-  net : 'p Causal.msg Network.t;
-  nodes : 'p Causal.t array;
-}
-
-let make_causal ?(n = 3) ?(semantic = true) ?(latency = Latency.Constant 0.01) ?(seed = 3) ()
-    =
-  let engine = Engine.create ~seed () in
-  let net = Network.create engine ~nodes:n ~latency () in
-  let members = List.init n Fun.id in
-  let nodes =
-    Array.init n (fun me ->
-        Causal.create ~me ~members ~semantic
-          ~send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
-          ())
-  in
-  Array.iteri
-    (fun i node ->
-      Network.set_handler net ~node:i (fun ~src msg -> Causal.on_message node ~src msg))
-    nodes;
-  { engine; net; nodes }
-
-let test_causal_fifo () =
-  let rig = make_causal () in
-  for i = 1 to 10 do
-    ignore (Causal.multicast rig.nodes.(0) i)
-  done;
-  Engine.run rig.engine;
-  Array.iteri
-    (fun ix node ->
-      let got = List.map (fun d -> d.Causal.payload) (Causal.deliver_all node) in
-      Alcotest.(check (list int)) (Printf.sprintf "node %d FIFO" ix)
-        (List.init 10 (fun i -> i + 1))
-        got)
-    rig.nodes
-
-let test_causal_order_respected () =
-  (* Node 1 replies to node 0's message; node 2 receives the reply
-     first (we delay the original on the 0->2 link via partition) but
-     must not deliver it before the original. *)
-  let rig = make_causal ~latency:(Latency.Constant 0.01) () in
-  Network.disconnect rig.net 0 2;
-  ignore (Causal.multicast rig.nodes.(0) "original");
-  Engine.run rig.engine;
-  (* Node 1 delivers the original, then replies. *)
-  (match Causal.deliver rig.nodes.(1) with
-  | Some d -> Alcotest.(check string) "n1 got original" "original" d.Causal.payload
-  | None -> Alcotest.fail "n1 missing original");
-  ignore (Causal.multicast rig.nodes.(1) "reply");
-  Engine.run rig.engine;
-  (* Node 2 has only the reply: not deliverable yet. *)
-  Alcotest.(check bool) "reply held back" true (Causal.deliver rig.nodes.(2) = None);
-  Alcotest.(check int) "buffered" 1 (Causal.pending rig.nodes.(2));
-  Network.reconnect rig.net 0 2;
-  Engine.run rig.engine;
-  let got = List.map (fun d -> d.Causal.payload) (Causal.deliver_all rig.nodes.(2)) in
-  Alcotest.(check (list string)) "causal order" [ "original"; "reply" ] got
-
-let test_causal_purging () =
-  let rig = make_causal () in
-  for i = 1 to 5 do
-    ignore (Causal.multicast rig.nodes.(0) ~ann:(Annotation.Tag 7) i)
-  done;
-  Engine.run rig.engine;
-  let got = List.map (fun d -> d.Causal.payload) (Causal.deliver_all rig.nodes.(1)) in
-  Alcotest.(check (list int)) "only the freshest value" [ 5 ] got;
-  Alcotest.(check int) "purged" 4 (Causal.purged rig.nodes.(1));
-  (* Causal accounting advanced through the ghosts. *)
-  Alcotest.(check int) "accounted all five" 5
-    (List.assoc 0 (Causal.delivered_vector rig.nodes.(1)))
-
-let test_causal_dependency_on_purged_message () =
-  (* m2 causally depends on a purged m1: the ghost must unblock it. *)
-  let rig = make_causal () in
-  ignore (Causal.multicast rig.nodes.(0) ~ann:(Annotation.Tag 1) 100);
-  ignore (Causal.multicast rig.nodes.(0) ~ann:(Annotation.Tag 1) 200);
-  Engine.run rig.engine;
-  (* Node 1 delivers (the cover only), then multicasts a dependent
-     message. *)
-  let got1 = List.map (fun d -> d.Causal.payload) (Causal.deliver_all rig.nodes.(1)) in
-  Alcotest.(check (list int)) "n1 purged to cover" [ 200 ] got1;
-  ignore (Causal.multicast rig.nodes.(1) 300);
-  Engine.run rig.engine;
-  let got2 = List.map (fun d -> d.Causal.payload) (Causal.deliver_all rig.nodes.(2)) in
-  Alcotest.(check (list int)) "n2 delivers cover then dependent" [ 200; 300 ] got2
-
-let test_causal_no_purge_when_disabled () =
-  let rig = make_causal ~semantic:false () in
-  for i = 1 to 5 do
-    ignore (Causal.multicast rig.nodes.(0) ~ann:(Annotation.Tag 7) i)
-  done;
-  Engine.run rig.engine;
-  let got = List.map (fun d -> d.Causal.payload) (Causal.deliver_all rig.nodes.(2)) in
-  Alcotest.(check (list int)) "everything kept" [ 1; 2; 3; 4; 5 ] got
-
-(* Property: without obsolescence, causal delivery respects
-   happened-before across senders. *)
-let causal_property =
-  QCheck.Test.make ~name:"causal order respects happened-before" ~count:40
-    QCheck.(pair small_int (list_of_size Gen.(int_range 1 25) (int_bound 2)))
-    (fun (seed, senders) ->
-      let n = 3 in
-      let rig = make_causal ~n ~latency:(Latency.Exponential { mean = 0.02 }) ~seed () in
-      (* Send events interleaved with partial consumption, so causal
-         dependencies across senders arise; every delivery anywhere is
-         logged for the offline check. *)
-      let sends = ref [] in
-      let sn = Array.make n 0 in
-      let logs = Array.make n [] in
-      let drain node_ix =
-        List.iter
-          (fun d -> logs.(node_ix) <- d :: logs.(node_ix))
-          (Causal.deliver_all rig.nodes.(node_ix))
-      in
-      List.iteri
-        (fun step sender ->
-          ignore
-            (Engine.schedule rig.engine ~delay:(0.05 *. float_of_int step) (fun () ->
-                 (* The sender first consumes what it can (creating
-                    causal dependencies), then multicasts. *)
-                 drain sender;
-                 let d = Causal.multicast rig.nodes.(sender) (sender, sn.(sender)) in
-                 sn.(sender) <- sn.(sender) + 1;
-                 sends := (d.Causal.id, Causal.delivered_vector rig.nodes.(sender)) :: !sends)))
-        senders;
-      Engine.run rig.engine;
-      Array.iteri (fun ix _ -> drain ix) rig.nodes;
-      (* Check at every node: deliveries respect each message's causal
-         past (recorded as the sender's accounted vector at send). *)
-      let ok = ref true in
-      Array.iteri
-        (fun node_ix _ ->
-          let seen = Hashtbl.create 16 in
-          List.iter
-            (fun (d : (int * int) Causal.data) ->
-              (match List.assoc_opt d.Causal.id !sends with
-              | None -> ok := false
-              | Some past ->
-                  List.iter
-                    (fun (member, count) ->
-                      (* All of the sender's causal past from [member]
-                         must be accounted here before this delivery.
-                         Purged messages never appear in any log, so
-                         only compare against what this node could see:
-                         the check uses delivered-or-ghosted counts via
-                         the message vc, which [delivered_vector]
-                         reflects — ghosts count on both sides. *)
-                      if member <> d.Causal.id.Msg_id.sender && count > 0 then begin
-                        let have =
-                          Option.value ~default:0 (Hashtbl.find_opt seen member)
-                        in
-                        if have < count then ok := false
-                      end)
-                    past);
-              let s = d.Causal.id.Msg_id.sender in
-              Hashtbl.replace seen s (1 + Option.value ~default:0 (Hashtbl.find_opt seen s)))
-            (List.rev logs.(node_ix)))
-        rig.nodes;
-      !ok)
 
 (* --- Total order rig --- *)
 
@@ -288,39 +124,6 @@ let total_property =
 
 module Codec = Svs_codec.Codec
 
-let test_causal_msg_round_trip () =
-  (* Build a real message by multicasting, then round-trip its wire
-     form through a second node. *)
-  let rig = make_causal () in
-  let sent = Causal.multicast rig.nodes.(0) ~ann:(Annotation.Tag 3) 42 in
-  ignore sent;
-  (* Intercept: encode/decode by hand using the codec. *)
-  let captured = ref None in
-  let probe =
-    Causal.create ~me:9 ~members:[ 8; 9 ]
-      ~send:(fun ~dst:_ msg ->
-        let w = Codec.Writer.create () in
-        Causal.write_msg Codec.Writer.zigzag w msg;
-        captured := Some (Codec.Writer.contents w))
-      ()
-  in
-  let original = Causal.multicast probe ~ann:(Annotation.Tag 5) 77 in
-  (match !captured with
-  | None -> Alcotest.fail "nothing captured"
-  | Some bytes ->
-      let decoded = Causal.read_msg Codec.Reader.zigzag (Codec.Reader.of_string bytes) in
-      (* Feed the decoded message to a fresh peer: it must deliver the
-         same payload under the same id. *)
-      let receiver =
-        Causal.create ~me:8 ~members:[ 8; 9 ] ~send:(fun ~dst:_ _ -> ()) ()
-      in
-      Causal.on_message receiver ~src:9 decoded;
-      (match Causal.deliver receiver with
-      | Some d ->
-          Alcotest.(check int) "payload survives" 77 d.Causal.payload;
-          Alcotest.(check bool) "id survives" true (Msg_id.equal d.Causal.id original.Causal.id)
-      | None -> Alcotest.fail "decoded message not deliverable"))
-
 let test_total_msg_round_trip () =
   let w = Codec.Writer.create () in
   let captured = ref [] in
@@ -350,16 +153,6 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "svs_order"
     [
-      ( "causal",
-        [
-          Alcotest.test_case "FIFO" `Quick test_causal_fifo;
-          Alcotest.test_case "causal order" `Quick test_causal_order_respected;
-          Alcotest.test_case "purging" `Quick test_causal_purging;
-          Alcotest.test_case "ghost dependencies" `Quick test_causal_dependency_on_purged_message;
-          Alcotest.test_case "purge disabled" `Quick test_causal_no_purge_when_disabled;
-          Alcotest.test_case "wire round-trip" `Quick test_causal_msg_round_trip;
-          q causal_property;
-        ] );
       ( "total",
         [
           Alcotest.test_case "same order" `Quick test_total_same_order_across_senders;
