@@ -58,6 +58,10 @@ let frame s =
   Bytes.blit_string s 0 b 4 n;
   Bytes.to_string b
 
+(* A count over real sockets varies from run to run; a detail that
+   names the bound it was checked against does not. *)
+let at_least name v lo = Printf.sprintf "%s%s%d" name (if v >= lo then ">=" else "<") lo
+
 let run_frame_corruption ?(quarantine = true) () =
   let loop = Loop.create () in
   let fd0, addr0 = Tcp_mesh.listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
@@ -151,8 +155,9 @@ let run_frame_corruption ?(quarantine = true) () =
           name = "hostile peer quarantined";
           ok = quarantine_count >= 1 && quarantined_now;
           detail =
-            Printf.sprintf "tcp_peer_quarantined_total=%d quarantined(2)=%b"
-              quarantine_count quarantined_now;
+            Printf.sprintf "%s quarantined(2)=%b"
+              (at_least "tcp_peer_quarantined_total" quarantine_count 1)
+              quarantined_now;
         };
         {
           name = "quarantine traced";
@@ -165,14 +170,14 @@ let run_frame_corruption ?(quarantine = true) () =
         {
           name = "garbage dropped, not delivered";
           ok = dropped >= 1;
-          detail = Printf.sprintf "frames_dropped=%d" dropped;
+          detail = at_least "frames_dropped" dropped 1;
         };
         {
           name = "honest traffic kept flowing";
           ok = !honest_at_0 >= 5 && !honest_at_1 >= 5;
           detail =
-            Printf.sprintf "node0 received %d, node1 received %d" !honest_at_0
-              !honest_at_1;
+            at_least "node0 received " !honest_at_0 5
+            ^ ", " ^ at_least "node1 received " !honest_at_1 5;
         };
       ];
   }

@@ -43,6 +43,7 @@ type 'p t = {
   contacts : int list; (* every other initial member, for the join nag *)
   mutable proto : 'p Protocol.t; (* swapped for a fresh joiner on restart *)
   mutable down : bool; (* crashed, shut down or excluded; cleared by restart *)
+  mutable closed : bool; (* shut down for good: the periodic timers end *)
   mutable state_transfer : (unit -> string option) option;
   instances : (int, 'p proposal Ct.t) Hashtbl.t;
   (* Consensus traffic for an instance this member has not started yet
@@ -152,6 +153,10 @@ let halt m =
   m.down <- true;
   stop_consensus m
 
+let close m =
+  halt m;
+  m.closed <- true
+
 let rec drain m =
   handle_outputs m (Protocol.take_outputs m.proto);
   m.host.deliverable ()
@@ -241,8 +246,10 @@ and excluded m v =
    since any single one may be blocked, excluded, dead, or on the far
    side of a partition that holds the request until the heal. *)
 and rejoin_via_probe m =
-  m.host.rejoin ();
-  start_join_nag m
+  if not m.closed then begin
+    m.host.rejoin ();
+    start_join_nag m
+  end
 
 and start_join_nag m =
   match m.contacts with
@@ -558,6 +565,7 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(evict_uncovered = false
       contacts = List.filter (fun p -> p <> me) (List.sort_uniq compare peers);
       proto;
       down = false;
+      closed = false;
       state_transfer = None;
       instances = Hashtbl.create 7;
       cons_stash = Hashtbl.create 7;
@@ -585,7 +593,7 @@ let create engine ~me ~peers ~clock ?(semantic = true) ?(evict_uncovered = false
     ignore
       (Engine.every engine ?start ~period (fun () ->
            f ();
-           true)
+           not m.closed)
         : Engine.handle)
   in
   (* Primary-component survival: the deadline only starts once a view

@@ -190,7 +190,14 @@ val stability_tick : 'p t -> unit
     move, so an idle group stays silent. *)
 
 val halt : 'p t -> unit
-(** Crash or shutdown: inputs are ignored and consensus stops. *)
+(** Crash: inputs are ignored and consensus stops. The periodic timers
+    keep running on the engine (a crashed simulated process does
+    nothing on them), so a later {!restart} finds them armed. *)
+
+val close : 'p t -> unit
+(** Shutdown for good: {!halt}, and every periodic timer ends at its
+    next firing, and no rejoin starts. For a host whose engine outlives
+    the member. *)
 
 val recovery : 'p t -> Protocol.recovery
 (** The durable slice of the current protocol state. Its [next_sn] is

@@ -1,13 +1,14 @@
-type timer = {
-  mutable fire_at : float;
-  period : float option;
-  mutable action : unit -> bool;
-  mutable cancelled : bool;
-}
+module Engine = Svs_sim.Engine
+
+(* The handle of the event that fires next: [every] swaps in each
+   re-armed event, so cancelling always reaches the pending one. *)
+type timer = Engine.handle ref
 
 type t = {
+  engine : Engine.t; (* clock: seconds of wall time since [epoch] *)
+  epoch : float;
   mutable fds : (Unix.file_descr * (unit -> unit)) list;
-  mutable timers : timer list;
+  mutable watched : Unix.file_descr list; (* [fds]' descriptors, for select *)
   mutable before_wait : (unit -> bool) list;
   mutable running : bool;
 }
@@ -16,39 +17,45 @@ let create () =
   (* Writing to a peer that died must surface as EPIPE on the write,
      not kill the process. *)
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  { fds = []; timers = []; before_wait = []; running = false }
+  {
+    engine = Engine.create ();
+    epoch = Unix.gettimeofday ();
+    fds = [];
+    watched = [];
+    before_wait = [];
+    running = false;
+  }
 
 let now _ = Unix.gettimeofday ()
 
-let on_readable t fd callback =
-  t.fds <- (fd, callback) :: List.remove_assq fd t.fds
+let engine t = t.engine
 
-let remove_fd t fd = t.fds <- List.remove_assq fd t.fds
+let elapsed t = Unix.gettimeofday () -. t.epoch
 
-let add_timer t timer = t.timers <- timer :: t.timers
+let set_fds t fds =
+  t.fds <- fds;
+  t.watched <- List.map fst fds
 
-let after t ~delay f =
-  let timer =
-    {
-      fire_at = now t +. delay;
-      period = None;
-      action =
-        (fun () ->
-          f ();
-          false);
-      cancelled = false;
-    }
-  in
-  add_timer t timer;
-  timer
+let on_readable t fd callback = set_fds t ((fd, callback) :: List.remove_assq fd t.fds)
+
+let remove_fd t fd = set_fds t (List.remove_assq fd t.fds)
+
+(* A loop timer counts its delay from wall time, not from the engine's
+   clock, which stands at the start of the current iteration (and
+   never runs backwards when the wall clock does). *)
+let arm t ~delay f =
+  Engine.schedule_at t.engine ~time:(Float.max (Engine.now t.engine) (elapsed t) +. delay) f
+
+let after t ~delay f = ref (arm t ~delay f)
 
 let every t ~period f =
   if period <= 0.0 then invalid_arg "Loop.every: period must be positive";
-  let timer = { fire_at = now t +. period; period = Some period; action = f; cancelled = false } in
-  add_timer t timer;
+  let fire = ref ignore in
+  let timer = ref (arm t ~delay:period (fun () -> !fire ())) in
+  (fire := fun () -> if f () && not (Engine.cancelled !timer) then timer := arm t ~delay:period !fire);
   timer
 
-let cancel timer = timer.cancelled <- true
+let cancel timer = Engine.cancel !timer
 
 let before_wait t hook = t.before_wait <- t.before_wait @ [ hook ]
 
@@ -69,48 +76,24 @@ let run_before_wait t =
 
 let stop t = t.running <- false
 
-let next_deadline t =
-  List.fold_left
-    (fun acc timer -> if timer.cancelled then acc else Float.min acc timer.fire_at)
-    infinity t.timers
-
-let fire_due t =
-  let current = now t in
-  let due, rest =
-    List.partition (fun timer -> (not timer.cancelled) && timer.fire_at <= current) t.timers
-  in
-  t.timers <- List.filter (fun timer -> not timer.cancelled) rest;
-  List.iter
-    (fun timer ->
-      if not timer.cancelled then begin
-        let again = timer.action () in
-        match timer.period with
-        | Some p when again && not timer.cancelled ->
-            timer.fire_at <- now t +. p;
-            add_timer t timer
-        | Some _ | None -> ()
-      end)
-    due
-
 let run ?(until = fun () -> false) ?timeout t =
   t.running <- true;
   let deadline = Option.map (fun s -> now t +. s) timeout in
   let expired () = match deadline with Some d -> now t >= d | None -> false in
   while t.running && (not (until ())) && not (expired ()) do
-    fire_due t;
+    Engine.run ~until:(elapsed t) t.engine;
     if t.running && (not (until ())) && not (expired ()) then begin
       let wait =
-        let till_timer = next_deadline t -. now t in
+        let till_timer = Engine.next_time t.engine -. elapsed t in
         let till_deadline =
           match deadline with Some d -> d -. now t | None -> infinity
         in
         Float.max 0.0 (Float.min 0.05 (Float.min till_timer till_deadline))
       in
-      if t.fds = [] && t.timers = [] then t.running <- false
+      if t.fds = [] && Engine.next_time t.engine = infinity then t.running <- false
       else begin
         run_before_wait t;
-        let fds = List.map fst t.fds in
-        match Unix.select fds [] [] wait with
+        match Unix.select t.watched [] [] wait with
         | readable, _, _ ->
             List.iter
               (fun fd ->

@@ -1,4 +1,3 @@
-module Engine = Svs_sim.Engine
 module Heartbeat = Svs_detector.Heartbeat
 module Ct = Svs_consensus.Chandra_toueg
 module Member = Svs_core.Member
@@ -108,7 +107,6 @@ let read_packet pc r =
 type 'p t = {
   loop : Loop.t;
   me : int;
-  engine : Engine.t; (* timer wheel for the reused automata *)
   started_at : float;
   core : 'p Member.t;
   wal : Wal.t option;
@@ -172,6 +170,13 @@ let forgive_peers t ps =
   List.iter
     (fun p -> if p <> t.me && Tcp_mesh.written_off t.mesh ~dst:p then Tcp_mesh.forget_peer t.mesh ~dst:p)
     ps
+
+(* Out of the group for good: the node's automata stop, and their
+   timers leave the loop's engine within a period. *)
+let stop t =
+  t.stopped <- true;
+  Heartbeat.stop t.hb;
+  Member.close t.core
 
 let installed t v =
   Log.info (fun m -> m "node %d installed %a" t.me View.pp v);
@@ -338,13 +343,11 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
     ?(on_synced = fun _ _ -> ()) () =
   let members = List.sort_uniq compare (List.map fst peers) in
   if not (List.mem me members) then invalid_arg "Node.create: me must be a peer";
-  let engine = Engine.create ~seed:me () in
+  let engine = Loop.engine loop in
   let started_at = Loop.now loop in
   (* Trace events carry wall-clock timestamps in the runtime. *)
   Trace.set_clock config.tracer (fun () -> Loop.now loop);
-  (match config.metrics with
-  | None -> ()
-  | Some reg -> Engine.attach_metrics engine reg);
+  Option.iter (Svs_sim.Engine.attach_metrics engine) config.metrics;
   let wal, recovered =
     match data_dir with
     | None -> (None, None)
@@ -431,7 +434,7 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
       excluded =
         (fun v ~rejoin ->
           Log.warn (fun m -> m "node %d excluded from %a" me View.pp v);
-          if not rejoin then with_t (fun t -> t.stopped <- true));
+          if not rejoin then with_t stop);
       synced =
         (fun v app ->
           Log.info (fun m -> m "node %d synced into %a" me View.pp v);
@@ -504,7 +507,6 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
     {
       loop;
       me;
-      engine;
       started_at;
       core;
       wal;
@@ -523,20 +525,13 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
         Trace.emit t.tracer (Trace.Suspect { node = t.me; suspect = p });
       Member.on_suspicion core);
   Heartbeat.on_rescind hb (fun _ -> Member.on_suspicion core);
-  (* Advance the automata's virtual clock to wall time: consensus,
-     heartbeats and the member shell's park, stability, divergence,
-     laggard and join timers all run on it. The same tick sends this
-     member's floors once they rise, so stability trails delivery by
-     a tick, not by [stability_period]. (A before-wait hook would run
-     once per message on an open loop, and a STABLE round costs
-     about 150 words.) *)
+  (* This tick sends the member's floors once they rise, so stability
+     trails delivery by a tick, not by [stability_period]. (A
+     before-wait hook would run once per message on an open loop, and
+     a STABLE round costs about 150 words.) *)
   ignore
     (Loop.every loop ~period:0.01 (fun () ->
-         if not t.stopped then begin
-           Engine.run ~until:(Loop.now loop -. t.started_at) t.engine;
-           Member.drain core;
-           Member.stability_tick core
-         end;
+         Member.stability_tick core;
          not t.stopped)
       : Loop.timer);
   (match wal with
@@ -554,11 +549,9 @@ let create loop ~me ~listen_fd ~peers ~payload_codec ?(config = default_config)
           : Loop.timer));
   t
 
+(* Also after an exclusion stopped the node: the mesh and the log are
+   still open then. *)
 let shutdown t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    Heartbeat.stop t.hb;
-    Member.halt t.core;
-    Tcp_mesh.close t.mesh;
-    match t.wal with Some w -> Wal.close w | None -> ()
-  end
+  stop t;
+  Tcp_mesh.close t.mesh;
+  Option.iter Wal.close t.wal

@@ -6,8 +6,8 @@
     (they are transport-agnostic) — including the member shell
     {!Svs_core.Member}, which makes every consensus, suspicion, park,
     rejoin, divergence and sequence-lease decision for both stacks
-    (the node keeps only the I/O: mesh, WAL, tracing); their timers live
-    in a private {!Svs_sim.Engine} that the I/O loop advances to
+    (the node keeps only the I/O: mesh, WAL, tracing); their timers are
+    events on the loop's one queue ({!Loop.engine}), whose clock reads
     wall-clock time.
 
     Deliveries are pulled with {!deliver} — the paper's down-call
@@ -37,8 +37,8 @@ type config = {
   semantic : bool;
   heartbeat : Svs_detector.Heartbeat.config;
   stability_period : float option;
-      (** A member sends its receive floors ([STABLE]) on the engine
-          tick (10 ms) after they rise, so delivered messages become
+      (** A member sends its receive floors ([STABLE]) on the node's
+          10 ms tick after they rise, so delivered messages become
           stable, and leave the PRED bookkeeping, about a tick after
           every member has them. This period only resends unchanged
           floors; [None] turns the resend off. *)

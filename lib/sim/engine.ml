@@ -58,11 +58,25 @@ let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) f
 
+let nothing () = ()
+
 let cancel ev =
   ev.cancelled <- true;
-  ev.action <- (fun () -> ())
+  ev.action <- nothing
 
 let cancelled ev = ev.cancelled
+
+(* Drops cancelled events off the head of the queue, so the head, if
+   any, is pending. Allocates nothing when none is cancelled. *)
+let rec next_time t =
+  if Heap.is_empty t.queue then infinity
+  else
+    let ev = Heap.min_exn t.queue in
+    if ev.cancelled then begin
+      ignore (Heap.pop t.queue : event option);
+      next_time t
+    end
+    else ev.time
 
 let pending t =
   Heap.fold (fun n ev -> if ev.cancelled then n else n + 1) 0 t.queue
@@ -75,7 +89,12 @@ let run_event t ev =
   | Some p ->
       Metrics.Counter.incr p.events;
       Metrics.Gauge.set p.depth (float_of_int (Heap.length t.queue)));
-  ev.action ()
+  (* The heap's array keeps popped events in its spare slots: drop the
+     closure, or a long-lived engine keeps alive whatever it captured
+     (a shut-down node, in the runtime). *)
+  let action = ev.action in
+  ev.action <- nothing;
+  action ()
 
 let step t =
   let rec next () =
@@ -99,27 +118,17 @@ let step t =
    head of the queue so an enumerator can explore the other
    permutations of equal-timestamp events too. *)
 
-let drop_cancelled t =
-  let rec go () =
-    match Heap.peek t.queue with
-    | Some ev when ev.cancelled ->
-        ignore (Heap.pop t.queue : event option);
-        go ()
-    | Some _ | None -> ()
-  in
-  go ()
-
 let ready t =
-  drop_cancelled t;
-  match Heap.peek t.queue with
-  | None -> []
-  | Some head ->
-      let same =
-        Heap.fold
-          (fun acc ev -> if (not ev.cancelled) && ev.time = head.time then ev :: acc else acc)
-          [] t.queue
-      in
-      List.sort (fun a b -> compare a.seq b.seq) same
+  ignore (next_time t : float);
+  if Heap.is_empty t.queue then []
+  else
+    let head = Heap.min_exn t.queue in
+    let same =
+      Heap.fold
+        (fun acc ev -> if (not ev.cancelled) && ev.time = head.time then ev :: acc else acc)
+        [] t.queue
+    in
+    List.sort (fun a b -> compare a.seq b.seq) same
 
 let handle_time ev = ev.time
 
@@ -127,10 +136,7 @@ let handle_seq ev = ev.seq
 
 let step_ready t ev =
   if ev.cancelled then invalid_arg "Engine.step_ready: cancelled event";
-  drop_cancelled t;
-  (match Heap.peek t.queue with
-  | Some head when head.time = ev.time -> ()
-  | Some _ | None -> invalid_arg "Engine.step_ready: event is not ready");
+  if next_time t <> ev.time then invalid_arg "Engine.step_ready: event is not ready";
   (* Pop until we reach [ev]; everything popped first shares its
      timestamp (checked above), so re-adding preserves the order of
      the rest of the queue. *)
@@ -149,18 +155,7 @@ let step_ready t ev =
 let run ?until ?max_events t =
   let horizon = match until with None -> infinity | Some u -> u in
   let budget = match max_events with None -> max_int | Some n -> n in
-  let rec loop ran =
-    if ran >= budget then ()
-    else
-      match Heap.peek t.queue with
-      | None -> ()
-      | Some ev when ev.cancelled ->
-          ignore (Heap.pop t.queue);
-          loop ran
-      | Some ev when ev.time > horizon -> ()
-      | Some _ ->
-          if step t then loop (ran + 1) else ()
-  in
+  let rec loop ran = if ran < budget && next_time t <= horizon && step t then loop (ran + 1) in
   loop 0;
   (match until with
   | Some u when t.clock < u -> t.clock <- u

@@ -47,6 +47,11 @@ val cancelled : handle -> bool
 val pending : t -> int
 (** Number of scheduled (non-cancelled) events. *)
 
+val next_time : t -> float
+(** The time of the earliest pending event, or [infinity] if none is.
+    Allocates nothing unless it drops cancelled events, so a real-time
+    loop can size its wait from it on every iteration. *)
+
 val step : t -> bool
 (** Executes the next event. [false] if the queue was empty.
 

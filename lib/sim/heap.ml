@@ -51,6 +51,8 @@ let add h x =
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
+let min_exn h = if h.size = 0 then invalid_arg "Heap.min_exn: empty heap" else h.data.(0)
+
 let pop h =
   if h.size = 0 then None
   else begin

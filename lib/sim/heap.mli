@@ -18,6 +18,10 @@ val add : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** [peek h] is the minimum element, without removing it. *)
 
+val min_exn : 'a t -> 'a
+(** [peek] without the option, so it allocates nothing.
+    @raise Invalid_argument on an empty heap. *)
+
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element. *)
 

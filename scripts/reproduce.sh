@@ -21,7 +21,7 @@ dune exec bin/svs_cli.exe -- fig4 --csv results/fig4 > /dev/null
 dune exec bin/svs_cli.exe -- fig5 --csv results/fig5 > /dev/null
 
 echo "== examples =="
-for e in quickstart monitoring game_replication view_flush stock_ticker; do
+for e in quickstart monitoring game_replication view_flush; do
   echo "--- $e"
   dune exec "examples/$e.exe"
 done

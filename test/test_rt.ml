@@ -98,6 +98,54 @@ let test_loop_before_wait_hooks () =
   Alcotest.(check bool) "each before that iteration's wait" true !in_order;
   Alcotest.(check int) "dropped after returning false" 3 !once
 
+(* A callback that overruns its period does not leave a debt: the
+   timer re-arms from when the callback returned, so after one 50 ms
+   stall a 5 ms timer fires once, not once per period it missed. *)
+let test_loop_every_after_stall () =
+  let loop = Loop.create () in
+  let stalled = ref false and after_stall = ref 0 in
+  ignore
+    (Loop.every loop ~period:0.005 (fun () ->
+         if !stalled then incr after_stall
+         else begin
+           Unix.sleepf 0.05;
+           stalled := true
+         end;
+         true));
+  Loop.run ~until:(fun () -> !after_stall >= 1) ~timeout:1.0 loop;
+  Alcotest.(check int) "one firing after the stall" 1 !after_stall
+
+(* Idle timers cost an iteration nothing: a loop iteration with ten
+   pending timers allocates no more than one with none. The pipe stays
+   readable, so every iteration returns from select at once. *)
+let test_loop_idle_timer_words () =
+  let words_per_iteration timers =
+    let loop = Loop.create () in
+    let r, w = Unix.pipe () in
+    ignore (Unix.write_substring w "x" 0 1);
+    let iterations = ref 0 in
+    Loop.on_readable loop r (fun () -> incr iterations);
+    for _ = 1 to timers do
+      ignore (Loop.every loop ~period:3600.0 (fun () -> true) : Loop.timer)
+    done;
+    let measure n =
+      iterations := 0;
+      let w0 = Gc.minor_words () in
+      Loop.run ~until:(fun () -> !iterations >= n) ~timeout:10.0 loop;
+      (Gc.minor_words () -. w0) /. float_of_int !iterations
+    in
+    ignore (measure 100 : float);
+    let words = measure 5000 in
+    Unix.close r;
+    Unix.close w;
+    words
+  in
+  let none = words_per_iteration 0 and ten = words_per_iteration 10 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words with 10 idle timers, %.3f with none" ten none)
+    true
+    (ten <= none +. 0.05)
+
 (* --- Tcp_mesh --- *)
 
 (* on_frame hands out borrowed slices; tests that retain frames copy
@@ -874,6 +922,47 @@ let make_group ?(config = node_config) ?consume_periods loop n =
     nodes;
   (nodes, deliveries)
 
+(* A shut-down node leaves nothing on the loop's engine. Node 2 stops
+   first while its peers run on: past its longest timer period it can
+   be collected. Once all three have stopped, the engine holds exactly
+   what it held before they were created (here, one unrelated timer).
+   Every member timer is armed, each with a period of at most 0.2 s. *)
+let test_loop_node_timers_end () =
+  let loop = Loop.create () in
+  let engine = Loop.engine loop in
+  ignore (Loop.every loop ~period:60.0 (fun () -> true) : Loop.timer);
+  let before = Svs_sim.Engine.pending engine in
+  let config =
+    {
+      node_config with
+      stability_period = Some 0.2;
+      park_timeout = Some 0.8;
+      divergence_period = Some 0.2;
+      slow_member = { Node.report_after = 0.8; evict_after = None };
+    }
+  in
+  let listeners =
+    List.init 3 (fun i ->
+        let fd, addr = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
+        (i, fd, addr))
+  in
+  let peers = List.map (fun (i, _, addr) -> (i, addr)) listeners in
+  let create (i, fd, _) =
+    Node.create loop ~me:i ~listen_fd:fd ~peers ~payload_codec:Wire_codec.int_codec ~config ()
+  in
+  let survivors = List.map create (List.filteri (fun i _ -> i < 2) listeners) in
+  let released = Weak.create 1 in
+  Weak.set released 0 (Some (create (List.nth listeners 2)));
+  Loop.run ~timeout:0.5 loop;
+  Alcotest.(check bool) "the nodes armed timers" true (Svs_sim.Engine.pending engine > before);
+  Option.iter Node.shutdown (Weak.get released 0);
+  Loop.run ~timeout:0.4 loop;
+  Gc.full_major ();
+  Alcotest.(check bool) "shut-down node released" false (Weak.check released 0);
+  List.iter Node.shutdown survivors;
+  Loop.run ~timeout:0.4 loop;
+  Alcotest.(check int) "pending events" before (Svs_sim.Engine.pending engine)
+
 let data_payloads ds =
   List.filter_map
     (function Types.Data d -> Some d.Types.payload | Types.View_change _ -> None)
@@ -1361,75 +1450,6 @@ let test_node_slow_member_escalation () =
   Alcotest.(check int) "nothing sheddable was shed" 0 (Node.shed_frames nodes.(0));
   Array.iter Node.shutdown nodes
 
-(* --- Ordered multicast over the real mesh --- *)
-
-module Total = Svs_order.Total
-module Codec = Svs_codec.Codec
-
-let test_total_order_over_tcp () =
-  (* The §7 toolkit is wire-capable too: a totally ordered stream over
-     real sockets, with obsolete entries skipped identically at every
-     terminal. *)
-  let loop = Loop.create () in
-  let n = 3 in
-  let listeners =
-    List.init n (fun i ->
-        let fd, addr = Tcp_mesh.listener (Unix.ADDR_INET (loopback, 0)) in
-        (i, fd, addr))
-  in
-  let peers = List.map (fun (i, _, addr) -> (i, addr)) listeners in
-  let members = List.map fst peers in
-  let nodes = Array.make n None in
-  let meshes =
-    List.map
-      (fun (i, fd, _) ->
-        Tcp_mesh.create loop ~me:i ~listen_fd:fd ~peers
-          ~on_frame:(fun ~src frame ->
-            match nodes.(i) with
-            | Some node ->
-                Total.on_message node ~src
-                  (Total.read_msg Codec.Reader.zigzag (Codec.Reader.of_slice frame))
-            | None -> ())
-          ())
-      listeners
-  in
-  let meshes = Array.of_list meshes in
-  List.iter
-    (fun i ->
-      nodes.(i) <-
-        Some
-          (Total.create ~me:i ~members
-             ~send:(fun ~dst msg ->
-               let w = Codec.Writer.create () in
-               Total.write_msg Codec.Writer.zigzag w msg;
-               Tcp_mesh.send meshes.(i) ~dst (Codec.Writer.contents w))
-             ()))
-    members;
-  let feed = Option.get nodes.(0) in
-  ignore
-    (Loop.after loop ~delay:0.3 (fun () ->
-         for i = 1 to 12 do
-           ignore (Total.multicast feed ~ann:(Annotation.Tag (i mod 2)) i)
-         done));
-  Loop.run
-    ~until:(fun () ->
-      Array.for_all
-        (function Some node -> Total.pending node >= 12 | None -> false)
-        nodes)
-    ~timeout:10.0 loop;
-  let tapes =
-    Array.map
-      (function
-        | Some node -> List.map (fun (seq, d) -> (seq, d.Total.payload)) (Total.deliver_all node)
-        | None -> [])
-      nodes
-  in
-  Alcotest.(check bool) "every terminal has a tape" true
-    (Array.for_all (fun t -> t <> []) tapes);
-  Alcotest.(check bool) "tapes agree" true
-    (Array.for_all (fun t -> t = tapes.(0)) tapes);
-  Array.iter Tcp_mesh.close meshes
-
 (* --- Admin endpoint --- *)
 
 module Admin = Svs_rt.Admin
@@ -1759,6 +1779,9 @@ let () =
           Alcotest.test_case "readable fd" `Quick test_loop_readable_fd;
           Alcotest.test_case "until predicate" `Quick test_loop_until_predicate;
           Alcotest.test_case "before-wait hooks" `Quick test_loop_before_wait_hooks;
+          Alcotest.test_case "every after a stall" `Quick test_loop_every_after_stall;
+          Alcotest.test_case "idle timers allocate nothing" `Quick test_loop_idle_timer_words;
+          Alcotest.test_case "node timers end at shutdown" `Quick test_loop_node_timers_end;
         ] );
       ( "tcp-mesh",
         [
@@ -1808,7 +1831,6 @@ let () =
           Alcotest.test_case "purging over TCP" `Slow test_node_purging_over_tcp;
           Alcotest.test_case "park and probe-rejoin" `Slow test_node_park_probe_rejoin;
           Alcotest.test_case "restart rejoins from WAL" `Slow test_node_restart_rejoins;
-          Alcotest.test_case "total order over TCP" `Slow test_total_order_over_tcp;
           Alcotest.test_case "divergence self-heals" `Slow test_node_divergence_self_heals;
           Alcotest.test_case "slow member escalation" `Slow test_node_slow_member_escalation;
         ] );

@@ -248,6 +248,23 @@ let test_engine_max_events () =
   Engine.run ~max_events:7 e;
   Alcotest.(check int) "bounded" 7 !count
 
+(* An executed event lets go of its closure: the heap's spare slots
+   keep popped events, and a long-lived engine (the runtime loop's)
+   must not keep alive what their closures captured. *)
+let[@inline never] schedule_capturing engine released =
+  let captured = Bytes.create 64 in
+  Weak.set released 0 (Some captured);
+  ignore (Engine.schedule engine ~delay:1.0 (fun () -> ignore (Bytes.length captured)))
+
+let test_engine_releases_run_events () =
+  let engine = Engine.create () in
+  let released = Weak.create 1 in
+  schedule_capturing engine released;
+  Engine.run engine;
+  Gc.full_major ();
+  Alcotest.(check bool) "closure released" false (Weak.check released 0);
+  Alcotest.(check int) "the engine outlives it" 0 (Engine.pending engine)
+
 let test_engine_pending () =
   let e = Engine.create () in
   let h1 = Engine.schedule e ~delay:1.0 (fun () -> ()) in
@@ -352,6 +369,7 @@ let () =
           Alcotest.test_case "every cancel" `Quick test_engine_every_cancel;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "pending" `Quick test_engine_pending;
+          Alcotest.test_case "run events released" `Quick test_engine_releases_run_events;
           Alcotest.test_case "ready group" `Quick test_engine_ready_group;
           Alcotest.test_case "step_ready out of order" `Quick
             test_engine_step_ready_out_of_order;

@@ -1,60 +1,8 @@
-(* Tests for svs_stats: summaries, histograms, timelines, series. *)
+(* Tests for svs_stats: histograms, timelines, series. *)
 
-module Summary = Svs_stats.Summary
 module Histogram = Svs_stats.Histogram
 module Timeline = Svs_stats.Timeline
 module Series = Svs_stats.Series
-
-(* --- Summary --- *)
-
-let test_summary_basic () =
-  let s = Summary.create () in
-  List.iter (Summary.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check int) "count" 8 (Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Summary.mean s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Summary.max s);
-  Alcotest.(check (float 1e-9)) "total" 40.0 (Summary.total s);
-  (* sample variance of this classic data set is 32/7 *)
-  Alcotest.(check (float 1e-9)) "variance" (32.0 /. 7.0) (Summary.variance s)
-
-let test_summary_empty () =
-  let s = Summary.create () in
-  Alcotest.(check bool) "mean nan" true (Float.is_nan (Summary.mean s));
-  Alcotest.(check bool) "variance nan" true (Float.is_nan (Summary.variance s))
-
-let test_summary_single () =
-  let s = Summary.create () in
-  Summary.add s 3.0;
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Summary.mean s);
-  Alcotest.(check bool) "variance nan with one obs" true (Float.is_nan (Summary.variance s))
-
-let test_summary_merge () =
-  let a = Summary.create () and b = Summary.create () and whole = Summary.create () in
-  let xs = [ 1.0; 2.0; 3.0 ] and ys = [ 10.0; 20.0; 30.0; 40.0 ] in
-  List.iter (Summary.add a) xs;
-  List.iter (Summary.add b) ys;
-  List.iter (Summary.add whole) (xs @ ys);
-  let m = Summary.merge a b in
-  Alcotest.(check int) "count" (Summary.count whole) (Summary.count m);
-  Alcotest.(check (float 1e-9)) "mean" (Summary.mean whole) (Summary.mean m);
-  Alcotest.(check (float 1e-6)) "variance" (Summary.variance whole) (Summary.variance m);
-  Alcotest.(check (float 1e-9)) "min" (Summary.min whole) (Summary.min m);
-  Alcotest.(check (float 1e-9)) "max" (Summary.max whole) (Summary.max m)
-
-let summary_matches_naive =
-  QCheck.Test.make ~name:"summary mean/var match naive computation" ~count:200
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let s = Summary.create () in
-      List.iter (Summary.add s) xs;
-      let n = float_of_int (List.length xs) in
-      let mean = List.fold_left ( +. ) 0.0 xs /. n in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 xs /. (n -. 1.0)
-      in
-      Float.abs (Summary.mean s -. mean) < 1e-6
-      && (Float.abs (Summary.variance s -. var) < 1e-4 *. Float.max 1.0 var))
 
 (* --- Histogram --- *)
 
@@ -172,17 +120,8 @@ let test_series_render_aligns_columns () =
   Alcotest.(check bool) "dash for missing point" true (Astring.String.is_infix ~affix:"-" out)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "svs_stats"
     [
-      ( "summary",
-        [
-          Alcotest.test_case "basic moments" `Quick test_summary_basic;
-          Alcotest.test_case "empty" `Quick test_summary_empty;
-          Alcotest.test_case "single" `Quick test_summary_single;
-          Alcotest.test_case "merge" `Quick test_summary_merge;
-          q summary_matches_naive;
-        ] );
       ( "histogram",
         [
           Alcotest.test_case "counts" `Quick test_histogram_counts;
